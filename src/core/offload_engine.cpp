@@ -259,20 +259,7 @@ std::uint32_t OffloadChannel::submit(Command cmd) {
   cmd.proxy = alloc_slot();
   // Serialize parameters + lock-free enqueue.
   sim::advance(p.cmd_enqueue);
-  const std::size_t eidx = engine_of(cmd);
-  bool overflow = false;
-  if (Lane* lane = lane_for_caller(eidx, overflow); lane != nullptr) {
-    push_lane(*lane, cmd);
-    ++stats_.lane_submits;
-    ++lane->stats.submits;
-  } else {
-    push_shared_locked(*engines_[eidx], cmd);
-    ++(overflow ? stats_.overflow_submits : stats_.shared_submits);
-  }
-  // Ring the doorbell: the offload fibers' poll loops notice new work after
-  // their detection latency.
-  trace::instant("doorbell", "offload");
-  rc_.arrivals().signal();
+  push_to_engine(engine_of(cmd), cmd);
   return cmd.proxy;
 }
 
@@ -381,38 +368,16 @@ void OffloadChannel::push_to_engine(std::size_t eidx, const Command& cmd) {
     push_shared_locked(*engines_[eidx], cmd);
     ++(overflow ? stats_.overflow_submits : stats_.shared_submits);
   }
+  // Ring the doorbell: the offload fibers' poll loops notice new work after
+  // their detection latency.
   trace::instant("doorbell", "offload");
   rc_.arrivals().signal();
 }
 
 // ------------------------------------------- persistent application side ----
 
-namespace {
-[[noreturn]] void persist_throw(int rank, const char* call, const char* what) {
-  san::mpi_persist_misuse(rank, call, what);
-  throw std::logic_error(std::string(call) + ": " + what);
-}
-}  // namespace
-
 std::uint32_t OffloadChannel::persist_init(const Command& cmd,
                                            std::uint32_t partitions) {
-  if (cmd.op != CmdOp::kIsend && cmd.op != CmdOp::kIrecv) {
-    throw std::invalid_argument("persist_init: only isend/irecv envelopes");
-  }
-  if (partitions != 0) {
-    if (partitions > static_cast<std::uint32_t>(smpi::kMaxPartitions)) {
-      persist_throw(rc_.rank(), "persist_init", "too many partitions");
-    }
-    if (cmd.tag < 0 || cmd.tag >= smpi::kMaxPartBaseTag) {
-      persist_throw(rc_.rank(), "persist_init",
-                    "partitioned base tag out of range");
-    }
-    if (cmd.peer == smpi::kAnySource) {
-      // Partition frames are invisible to wildcard matching by design.
-      persist_throw(rc_.rank(), "persist_init",
-                    "partitioned ops require a specific peer");
-    }
-  }
   trace::Scope tsc("persist:init", "offload");
   const auto& p = rc_.profile();
   // Init pays the full serialize cost once — that is the bargain: every
@@ -446,66 +411,28 @@ std::uint32_t OffloadChannel::persist_init(const Command& cmd,
 
 void OffloadChannel::persist_start(std::uint32_t idx) {
   PersistSlot& ps = *persist_.at(idx);
-  if (ps.state == PState::kFreed) {
-    persist_throw(rc_.rank(), "persist_start", "request was freed");
-  }
-  if (ps.state == PState::kStarted) {
-    persist_throw(rc_.rank(), "persist_start",
-                  "previous generation still in flight");
-  }
   trace::Scope tsc("persist:start", "offload");
   const auto& p = rc_.profile();
-  // Re-arm the pinned pool slot and the continuation claim; both are
-  // quiescent (previous generation consumed, next start not yet published).
-  sim::advance(p.request_pool_op);
+  // Re-arm the pinned pool slot, the continuation claim and the ready
+  // words; all are quiescent (previous generation consumed, next start not
+  // yet published). Reset before the first yield: the front end already
+  // counts the generation as started, so a pready may land from here on.
   pool_.rearm(ps.proxy);
   cont_.reset(ps.proxy);
   for (PartReadyWord& w : ps.ready) w.reset();
-  ps.marked = 0;
-  ps.state = PState::kStarted;
-  Command cmd;
-  cmd.op = CmdOp::kStartPersistent;
-  cmd.proxy = ps.proxy;
-  cmd.count = idx;
-  cmd.peer = ps.peer;
-  cmd.comm = ps.comm;
-  if (Engine* e = engine_for_current_fiber(); e != nullptr) {
-    // A continuation restarting its own request: issue directly, like every
-    // other engine-context post.
-    sim::advance(p.cmd_dequeue);
-    engine_start_persistent(*e, idx);
-    return;
-  }
-  // The thin re-arm publish: a slot index, not an envelope.
-  sim::advance(p.cmd_enqueue_persist);
-  push_to_engine(ps.home_engine, cmd);
+  sim::advance(p.request_pool_op);
+  publish_persist(CmdOp::kStartPersistent, idx);
 }
 
 void OffloadChannel::persist_pready(std::uint32_t idx, std::uint32_t lo,
                                     std::uint32_t hi) {
   PersistSlot& ps = *persist_.at(idx);
-  if (!ps.is_send || ps.partitions == 0) {
-    persist_throw(rc_.rank(), "persist_pready",
-                  "request is not a partitioned send");
-  }
-  if (ps.state != PState::kStarted) {
-    persist_throw(rc_.rank(), "persist_pready", "no generation started");
-  }
-  if (lo > hi || hi >= ps.partitions) {
-    persist_throw(rc_.rank(), "persist_pready", "partition out of range");
-  }
   const auto& p = rc_.profile();
   for (std::uint32_t part = lo; part <= hi; ++part) {
     sim::advance(p.pready_publish);
     // One release-RMW: publishes the partition's payload bytes to the
-    // engine that observes the bit. The previous value is the double-mark
-    // check for free.
-    const std::uint64_t prev = ps.ready[part / 64].mark(part % 64);
-    if ((prev >> (part % 64)) & 1u) {
-      persist_throw(rc_.rank(), "persist_pready",
-                    "partition marked ready twice in one generation");
-    }
-    ++ps.marked;
+    // engine that observes the bit.
+    ps.ready[part / 64].mark(part % 64);
   }
   trace::instant("pready", "offload");
   // Doorbell: a sleeping engine re-checks persistent_ready_pending against
@@ -513,93 +440,53 @@ void OffloadChannel::persist_pready(std::uint32_t idx, std::uint32_t lo,
   rc_.arrivals().signal();
 }
 
-void OffloadChannel::persist_wait(std::uint32_t idx, smpi::Status* st) {
-  if (in_engine()) {
-    throw std::logic_error(
-        san::engine_block_message("OffloadChannel::persist_wait"));
-  }
-  PersistSlot& ps = *persist_.at(idx);
-  if (ps.state == PState::kFreed) {
-    persist_throw(rc_.rank(), "persist_wait", "request was freed");
-  }
-  if (ps.state == PState::kInactive) {
-    if (st != nullptr) *st = smpi::Status{};
-    return;  // trivially complete, like MPI_Wait on an inactive request
-  }
-  if (ps.is_send && ps.partitions != 0 && ps.marked != ps.partitions) {
-    persist_throw(rc_.rank(), "persist_wait",
-                  "wait with unmarked partitions (the send can never "
-                  "complete; pready every partition first)");
-  }
-  trace::Scope tsc("wait:flag", "offload");
-  const auto& p = rc_.profile();
-  for (;;) {
-    sim::advance(p.done_flag_check);
-    if (pool_.done(ps.proxy)) break;
-    const std::uint64_t seen = completions_.count();
-    if (pool_.done(ps.proxy)) break;
-    completions_.wait_beyond(seen);
-  }
-  san::acquire(&pool_, ps.proxy);  // done-flag acquire: Status visible
-  if (st != nullptr) *st = pool_.status(ps.proxy);
-  // Consume the completion WITHOUT freeing the pinned slot: the request
-  // returns to kInactive, ready for the next start.
-  ps.state = PState::kInactive;
-}
-
-bool OffloadChannel::persist_test(std::uint32_t idx, smpi::Status* st) {
-  PersistSlot& ps = *persist_.at(idx);
-  if (ps.state == PState::kFreed) {
-    persist_throw(rc_.rank(), "persist_test", "request was freed");
-  }
-  if (ps.state == PState::kInactive) {
-    if (st != nullptr) *st = smpi::Status{};
-    return true;
-  }
-  const auto& p = rc_.profile();
-  sim::advance(p.done_flag_check);
-  if (!pool_.done(ps.proxy)) return false;
-  san::acquire(&pool_, ps.proxy);
-  if (st != nullptr) *st = pool_.status(ps.proxy);
-  ps.state = PState::kInactive;
-  return true;
-}
-
 void OffloadChannel::persist_free(std::uint32_t idx) {
-  PersistSlot& ps = *persist_.at(idx);
-  if (ps.state == PState::kFreed) return;  // freeing twice is a no-op
-  if (ps.state == PState::kStarted) {
-    persist_throw(rc_.rank(), "persist_free", "generation still in flight");
-  }
-  ps.state = PState::kFreed;
+  publish_persist(CmdOp::kFreePersistent, idx);
+}
+
+void OffloadChannel::publish_persist(CmdOp op, std::uint32_t idx) {
+  const PersistSlot& ps = *persist_.at(idx);
   Command cmd;
-  cmd.op = CmdOp::kFreePersistent;
+  cmd.op = op;
   cmd.proxy = ps.proxy;
   cmd.count = idx;
   cmd.peer = ps.peer;
   cmd.comm = ps.comm;
   if (Engine* e = engine_for_current_fiber(); e != nullptr) {
+    // A continuation restarting (or freeing) its own request: issue
+    // directly, like every other engine-context post.
     sim::advance(rc_.profile().cmd_dequeue);
-    engine_free_persistent(*e, idx);
+    issue(*e, cmd);
     return;
   }
+  // The thin publish: a slot index, not an envelope.
   sim::advance(rc_.profile().cmd_enqueue_persist);
   push_to_engine(ps.home_engine, cmd);
 }
 
-bool OffloadChannel::persist_attach_continuation(std::uint32_t idx,
-                                                 ContFn fn) {
-  PersistSlot& ps = *persist_.at(idx);
-  if (ps.state != PState::kStarted) {
-    persist_throw(rc_.rank(), "attach_continuation",
-                  "no generation started on this persistent request");
-  }
-  // Same arm/fire protocol as one-shot slots; the persistent-aware free
-  // paths (slot_persist_) reset the slot to kInactive instead of freeing it.
-  return attach_continuation(ps.proxy, std::move(fn));
+void OffloadChannel::free_slot(std::uint32_t proxy) {
+  sim::advance(rc_.profile().request_pool_op);
+  san::release(&pool_, proxy);  // hand the slot to the next alloc()
+  pool_.free(proxy);
+  completions_.signal();  // a freed slot may unblock a pool-exhausted submit
 }
 
-void OffloadChannel::wait_done(std::uint32_t proxy, smpi::Status* st) {
+ContFn OffloadChannel::take_fired(std::uint32_t proxy, smpi::Status& st) {
+  san::check_read(&cont_fns_[proxy], sizeof(ContFn), "cont.fns[slot]");
+  ContFn fn = std::move(cont_fns_[proxy]);
+  cont_fns_[proxy] = nullptr;
+  st = pool_.status(proxy);
+  cont_.reset(proxy);
+  // A persistent request keeps its pinned slot: the callback may restart
+  // it.
+  if (proxy >= slot_persist_.size() || slot_persist_[proxy] == 0) {
+    free_slot(proxy);
+  }
+  return fn;
+}
+
+void OffloadChannel::wait_done(std::uint32_t proxy, smpi::Status* st,
+                               bool keep) {
   if (in_engine()) {
     throw std::logic_error(
         san::engine_block_message("OffloadChannel::wait_done"));
@@ -615,22 +502,16 @@ void OffloadChannel::wait_done(std::uint32_t proxy, smpi::Status* st) {
   }
   san::acquire(&pool_, proxy);  // done-flag acquire: Status/payload visible
   if (st != nullptr) *st = pool_.status(proxy);
-  sim::advance(p.request_pool_op);
-  san::release(&pool_, proxy);  // hand the slot to the next alloc()
-  pool_.free(proxy);
-  completions_.signal();  // a freed slot may unblock a pool-exhausted submit
+  if (!keep) free_slot(proxy);
 }
 
-bool OffloadChannel::test_done(std::uint32_t proxy, smpi::Status* st) {
-  const auto& p = rc_.profile();
-  sim::advance(p.done_flag_check);
+bool OffloadChannel::test_done(std::uint32_t proxy, smpi::Status* st,
+                               bool keep) {
+  sim::advance(rc_.profile().done_flag_check);
   if (!pool_.done(proxy)) return false;
   san::acquire(&pool_, proxy);
   if (st != nullptr) *st = pool_.status(proxy);
-  sim::advance(p.request_pool_op);
-  san::release(&pool_, proxy);
-  pool_.free(proxy);
-  completions_.signal();
+  if (!keep) free_slot(proxy);
   return true;
 }
 
@@ -652,23 +533,8 @@ bool OffloadChannel::attach_continuation(std::uint32_t proxy, ContFn fn) {
   // Already fired: the completion's Status/payload are visible (failed-CAS
   // acquire), so run the callback inline on this thread and free the slot.
   san::acquire(&cont_, proxy);  // completer's publish (failed-CAS acquire)
-  san::check_read(&cont_fns_[proxy], sizeof(ContFn), "cont.fns[slot]");
-  ContFn f = std::move(cont_fns_[proxy]);
-  cont_fns_[proxy] = nullptr;
-  const smpi::Status st = pool_.status(proxy);
-  cont_.reset(proxy);
-  const std::uint32_t pers =
-      proxy < slot_persist_.size() ? slot_persist_[proxy] : 0;
-  if (pers != 0) {
-    // Persistent: consume the completion (kInactive) but keep the pinned
-    // slot — the inline callback may restart the request.
-    persist_[pers - 1]->state = PState::kInactive;
-  } else {
-    sim::advance(p.request_pool_op);
-    san::release(&pool_, proxy);
-    pool_.free(proxy);
-    completions_.signal();
-  }
+  smpi::Status st;
+  ContFn f = take_fired(proxy, st);
   ++stats_.cont_inline;
   {
     trace::Scope tsc("cont:inline", "offload");
@@ -844,17 +710,17 @@ void OffloadChannel::engine_start_persistent(Engine& e, std::uint32_t idx) {
   if (ps.parts.empty()) {
     ps.parts.resize(ps.partitions);
     for (std::uint32_t p = 0; p < ps.partitions; ++p) {
-      const std::uint64_t lo = bytes * p / ps.partitions;
-      const std::uint64_t hi = bytes * (p + 1) / ps.partitions;
       const int wtag = smpi::part_wire_tag(ps.tag, static_cast<int>(p));
       if (ps.is_send) {
-        ps.parts[p] =
-            rc_.send_init(static_cast<const char*>(ps.sbuf) + lo, hi - lo,
-                          smpi::Datatype::kByte, ps.peer, wtag, ps.comm);
+        const auto [at, len] =
+            smpi::part_slice(ps.sbuf, bytes, ps.partitions, p);
+        ps.parts[p] = rc_.send_init(at, len, smpi::Datatype::kByte, ps.peer,
+                                    wtag, ps.comm);
       } else {
-        ps.parts[p] =
-            rc_.recv_init(static_cast<char*>(ps.rbuf) + lo, hi - lo,
-                          smpi::Datatype::kByte, ps.peer, wtag, ps.comm);
+        const auto [at, len] =
+            smpi::part_slice(ps.rbuf, bytes, ps.partitions, p);
+        ps.parts[p] = rc_.recv_init(at, len, smpi::Datatype::kByte, ps.peer,
+                                    wtag, ps.comm);
       }
     }
   }
@@ -897,10 +763,7 @@ void OffloadChannel::engine_free_persistent(Engine& e, std::uint32_t idx) {
   }
   ps.parts.clear();
   slot_persist_[ps.proxy] = 0;
-  sim::advance(rc_.profile().request_pool_op);
-  san::release(&pool_, ps.proxy);
-  pool_.free(ps.proxy);
-  completions_.signal();
+  free_slot(ps.proxy);
 }
 
 std::size_t OffloadChannel::partition_engine(const PersistSlot& ps,
@@ -1042,6 +905,7 @@ bool OffloadChannel::steal_round(Engine& e) {
     // same-envelope traffic out of posted order.
     std::size_t budget = opts_.steal_bound;
     std::size_t stolen = 0;
+    bool took_shutdown = false;
     Command cmd;
     const std::size_t rows = opts_.lane_count;
     for (std::size_t row = 0; row < rows && budget > 0; ++row) {
@@ -1050,6 +914,7 @@ bool OffloadChannel::steal_round(Engine& e) {
         san::channel_pop(&lane);
         ++lane.stats.drained;
         lane.gauge.set(static_cast<double>(lane.ring.size_approx()));
+        took_shutdown = took_shutdown || cmd.op == CmdOp::kShutdown;
         process_command(e, cmd);
         --budget;
         ++stolen;
@@ -1058,6 +923,7 @@ bool OffloadChannel::steal_round(Engine& e) {
     while (budget > 0 && v.ring.try_pop(cmd)) {
       san::channel_pop(&v.ring);
       v.g_ring.set(static_cast<double>(v.ring.size_approx()));
+      took_shutdown = took_shutdown || cmd.op == CmdOp::kShutdown;
       process_command(e, cmd);
       --budget;
       ++stolen;
@@ -1067,9 +933,13 @@ bool OffloadChannel::steal_round(Engine& e) {
     if (stolen == 0) continue;
     ++stats_.steal_rounds;
     stats_.steal_commands += stolen;
-    if (submissions_pending(v)) {
+    if (took_shutdown || submissions_pending(v)) {
       // Leftovers: the owner may have armed its doorbell against a count
-      // taken before our pops — re-ring so it cannot sleep past them.
+      // taken before our pops — re-ring so it cannot sleep past them. So
+      // must a stolen shutdown: the owner's queues may now be empty, and an
+      // owner that went to sleep before the channel-wide flag flipped would
+      // otherwise never wake to see it (nothing else rings its doorbell
+      // once the application is inside stop()).
       rc_.arrivals().signal();
     }
     return true;  // one victim per pass: stay fair to our own queues
@@ -1116,20 +986,15 @@ void OffloadChannel::drive_progress(Engine& e) {
       // One generation (or one partition) of a persistent request. The proxy
       // done flag publishes only when the whole generation is in: a
       // partitioned send/recv is complete when its LAST partition lands.
+      // (The proxy front end turns the last partition's Status into the
+      // whole message's.)
       PersistSlot& ps = *persist_[pers - 1];
       if (--ps.remaining == 0) {
         if (ps.armed) {
           ps.armed = false;
           --armed_psends_;
         }
-        smpi::Status full = st;
-        if (ps.partitions != 0) {
-          // Synthesize the whole-message Status: base tag (the per-partition
-          // wire tags are an implementation detail) and total bytes.
-          full.tag = ps.tag;
-          full.bytes = ps.count * smpi::datatype_size(ps.dtype);
-        }
-        complete_slot(e, ps.proxy, full);
+        complete_slot(e, ps.proxy, st);
       }
     } else {
       complete_slot(e, e.inflight[i].proxy, st);
@@ -1143,7 +1008,6 @@ void OffloadChannel::drive_progress(Engine& e) {
 
 bool OffloadChannel::run_continuations(Engine& e) {
   if (e.cont_ready.empty()) return false;
-  const auto& p = rc_.profile();
   // Bounded pass: callbacks may post follow-ups whose completions queue more
   // callbacks (drive_progress can run inside a post when the pool is tight),
   // so an unbounded drain could monopolize the engine. Leftovers run next
@@ -1153,26 +1017,10 @@ bool OffloadChannel::run_continuations(Engine& e) {
   while (budget-- > 0 && !e.cont_ready.empty()) {
     const std::uint32_t proxy = e.cont_ready.front();
     e.cont_ready.pop_front();
-    san::check_read(&cont_fns_[proxy], sizeof(ContFn), "cont.fns[slot]");
-    ContFn fn = std::move(cont_fns_[proxy]);
-    cont_fns_[proxy] = nullptr;
-    const smpi::Status st = pool_.status(proxy);
     // Free before running: the callback may post enough follow-ups to need
     // this very slot, and the exactly-once claim already consumed it.
-    // Persistent slots are NOT freed — consuming the completion returns the
-    // request to kInactive first, so the callback may Start the next
-    // generation from inside itself.
-    cont_.reset(proxy);
-    const std::uint32_t pers =
-        proxy < slot_persist_.size() ? slot_persist_[proxy] : 0;
-    if (pers != 0) {
-      persist_[pers - 1]->state = PState::kInactive;
-    } else {
-      sim::advance(p.request_pool_op);
-      san::release(&pool_, proxy);
-      pool_.free(proxy);
-      completions_.signal();
-    }
+    smpi::Status st;
+    ContFn fn = take_fired(proxy, st);
     {
       trace::Scope tsc("cont:run", "offload");
       fn(st);

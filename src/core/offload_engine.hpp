@@ -73,12 +73,6 @@ namespace core {
 /// a blocking wait from engine context throws).
 using ContFn = std::function<void(const smpi::Status&)>;
 
-/// Lifecycle of a persistent (init-once/start-many) request, shared by the
-/// proxy API and the offload channel. kInactive -> kStarted at Start;
-/// kStarted -> kInactive when the completion is consumed (wait/test or a
-/// fired continuation); kFreed is terminal.
-enum class PState : std::uint8_t { kInactive, kStarted, kFreed };
-
 struct OffloadStats {
   std::uint64_t commands = 0;
   std::uint64_t testany_calls = 0;
@@ -167,11 +161,14 @@ class OffloadChannel {
   void submit_batch(std::span<Command> cmds);
 
   /// Spin on the done flag of `proxy` (the paper's optimized MPI_Wait: no
-  /// MPI call, just a flag check). Frees the slot.
-  void wait_done(std::uint32_t proxy, smpi::Status* st = nullptr);
+  /// MPI call, just a flag check). Frees the slot unless `keep` (the pinned
+  /// slot of a persistent request).
+  void wait_done(std::uint32_t proxy, smpi::Status* st = nullptr,
+                 bool keep = false);
 
-  /// Nonblocking flag check; frees the slot when done.
-  bool test_done(std::uint32_t proxy, smpi::Status* st = nullptr);
+  /// Nonblocking flag check; frees the slot when done, unless `keep`.
+  bool test_done(std::uint32_t proxy, smpi::Status* st = nullptr,
+                 bool keep = false);
 
   /// Bind `fn` to run exactly once when `proxy` completes. Consumes the
   /// slot: the side that runs the callback frees it, so the caller must not
@@ -207,48 +204,33 @@ class OffloadChannel {
   }
 
   // ---------------- persistent / partitioned requests ----------------
-  // A persistent offload request pins one RequestPool slot for its whole
+  // The mechanics under OffloadProxy's persistent backend hooks; the proxy
+  // front end (core/proxy.hpp) has already validated every call. A
+  // persistent offload request pins one RequestPool slot for its whole
   // lifetime and keeps its envelope in an engine-side PersistSlot; every
   // re-arm publishes only the slot index (CmdOp::kStartPersistent, charged
   // at Profile::cmd_enqueue_persist instead of a full enqueue). Partitioned
   // sends additionally carry a per-partition ready word the engines poll:
   // pready(p) from any compute fiber publishes one bit, and the engine that
   // owns partition p (partition-hash sharding) ships it while sibling
-  // partitions are still computing.
+  // partitions are still computing. Completion is the pinned slot's done
+  // flag: wait_done/test_done/attach_continuation with the slot kept — the
+  // continuation paths consult slot_persist_ to keep it themselves.
 
   /// Register a persistent envelope. `cmd` is the equivalent one-shot
   /// kIsend/kIrecv command (buffer/count/dtype/peer/tag/comm); `partitions`
-  /// 0 = plain persistent, else the partition count (1..kMaxPartitions,
-  /// tag < kMaxPartBaseTag). Returns the channel's persistent-slot index.
+  /// 0 = plain persistent, else the partition count. Returns the channel's
+  /// persistent-slot index.
   std::uint32_t persist_init(const Command& cmd, std::uint32_t partitions);
-  /// Re-arm and publish one generation. Throws std::logic_error when the
-  /// previous generation's completion has not been consumed.
+  /// Re-arm the pinned slot and publish one generation.
   void persist_start(std::uint32_t idx);
   /// Publish partitions [lo, hi] of a started partitioned send as ready.
-  /// Callable from any compute fiber; throws on double-mark or when no
-  /// generation is active.
+  /// Callable from any compute fiber.
   void persist_pready(std::uint32_t idx, std::uint32_t lo, std::uint32_t hi);
-  /// Spin on the generation's done flag WITHOUT freeing the pool slot;
-  /// consuming the completion returns the request to kInactive. Trivially
-  /// complete (empty Status) when no generation is active.
-  void persist_wait(std::uint32_t idx, smpi::Status* st = nullptr);
-  /// Nonblocking persist_wait.
-  bool persist_test(std::uint32_t idx, smpi::Status* st = nullptr);
-  /// Tear down: requires kInactive. The engine frees the MPI-level requests
-  /// and the pool slot (ring FIFO runs it after every prior start).
+  /// Tear down: the engine frees the MPI-level requests and the pool slot
+  /// (ring FIFO runs it after every prior start).
   void persist_free(std::uint32_t idx);
-  /// Bind `fn` to the CURRENT generation's completion. Unlike the one-shot
-  /// attach, the slot is NOT consumed — the callback (or an inline run)
-  /// returns the request to kInactive, so it may Start the next generation
-  /// from inside the callback. Returns true when run inline.
-  bool persist_attach_continuation(std::uint32_t idx, ContFn fn);
-  [[nodiscard]] PState persist_state(std::uint32_t idx) const {
-    return persist_.at(idx)->state;
-  }
-  [[nodiscard]] std::uint32_t persist_partitions(std::uint32_t idx) const {
-    return persist_.at(idx)->partitions;
-  }
-  /// The pool slot a persistent request pins (tests: slot-reuse assertions).
+  /// The pool slot a persistent request pins.
   [[nodiscard]] std::uint32_t persist_pool_slot(std::uint32_t idx) const {
     return persist_.at(idx)->proxy;
   }
@@ -292,10 +274,9 @@ class OffloadChannel {
 
   /// Engine-side home of one persistent request. Envelope fields are written
   /// once at init; generation state (armed/shipped/remaining, the lazily
-  /// created MPI requests) is touched only from engine context; `state` and
-  /// `marked` are app-side; `ready` is the one lock-free handoff (see
-  /// core/part_ready.hpp). Lives in a deque: stable addresses, slots are
-  /// never reused within a run.
+  /// created MPI requests) is touched only from engine context; `ready` is
+  /// the one lock-free handoff (see core/part_ready.hpp). Lives in a deque:
+  /// stable addresses, slots are never reused within a run.
   struct PersistSlot {
     // ---- envelope (init-time) ----
     bool is_send = false;
@@ -309,9 +290,6 @@ class OffloadChannel {
     std::uint32_t partitions = 0;  ///< 0 = plain persistent
     std::uint32_t proxy = 0;       ///< pool slot pinned for the lifetime
     std::size_t home_engine = 0;   ///< engine_of of the equivalent one-shot
-    // ---- app side ----
-    PState state = PState::kInactive;
-    std::uint32_t marked = 0;  ///< partitions pready'd this generation
     /// Partition-ready words, bit p%64 of word p/64 (partitioned sends).
     std::vector<PartReadyWord> ready;
     // ---- engine side ----
@@ -403,6 +381,16 @@ class OffloadChannel {
   /// submit(): persistent starts/frees arrive here with their pool slot
   /// already pinned.
   void push_to_engine(std::size_t eidx, const Command& cmd);
+  /// Publish kStartPersistent/kFreePersistent for persistent slot `idx`
+  /// (issued in place from engine context).
+  void publish_persist(CmdOp op, std::uint32_t idx);
+  /// Return `proxy` to the pool and signal completions (a freed slot may
+  /// unblock a pool-exhausted submit).
+  void free_slot(std::uint32_t proxy);
+  /// Take the callback and Status of fired slot `proxy` and recycle its
+  /// continuation state; the slot goes back to the pool unless a persistent
+  /// request pins it.
+  ContFn take_fired(std::uint32_t proxy, smpi::Status& st);
 
   /// The Engine owned by the calling fiber, or nullptr.
   Engine* engine_for_current_fiber();
@@ -476,7 +464,7 @@ class OffloadChannel {
   /// within a run — persistent requests are long-lived by design).
   std::deque<std::unique_ptr<PersistSlot>> persist_;
   /// Pool slot -> persistent index + 1 (0 = one-shot). The continuation
-  /// paths consult this to reset instead of free a persistent slot.
+  /// paths consult this to keep instead of free a persistent slot.
   std::vector<std::uint32_t> slot_persist_;
   /// Armed partitioned sends (fast-path gate for pump_persistent).
   std::size_t armed_psends_ = 0;

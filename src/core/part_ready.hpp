@@ -24,9 +24,9 @@
 //    (Proxy::start), when the previous generation has completed and no
 //    producer or consumer touches the word — hence a relaxed store.
 //
-// mark() returns the word's previous value so the caller can reject a
-// double pready(p) of the same generation (old bit already set) without a
-// second RMW.
+// mark() returns the word's previous value (the check-layer spec asserts
+// on it). Double pready(p) of one generation never reaches the word: the
+// proxy front end rejects it before publishing.
 //
 // One word covers 64 partitions; wider operations hold a vector of words
 // (partition p lives in word p/64, bit p%64). The engine tracks shipped
@@ -58,8 +58,7 @@ class PartReadyWordT {
   PartReadyWordT& operator=(const PartReadyWordT&) = delete;
 
   /// Producer side: publish partition `bit_index` (0..63) of this word.
-  /// Returns the previous word value — caller checks the bit for a
-  /// double-mark misuse.
+  /// Returns the previous word value.
   std::uint64_t mark(unsigned bit_index) {
     return bits_.fetch_or(std::uint64_t{1} << bit_index,
                           std::memory_order_release);

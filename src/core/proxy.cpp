@@ -114,11 +114,10 @@ void Proxy::allgather(const void* s, void* r, std::size_t n_per,
   wait(rq);
 }
 
-// ---------------------------------------------- generic persistent (base) ----
-// Serves the direct approaches: one rc_-level persistent MPI request per
-// handle (or per partition). The calling thread enters MPI itself, so
-// pready(p) ships its partition immediately — the offload proxy overrides
-// all of this onto its channel's ready-word machinery.
+// ------------------------------------------------ persistent front end ----
+// The one meaning of a persistent request, whatever approach is underneath:
+// state, legality checks and the whole-message Status live here; the
+// backend hooks only move data.
 
 namespace {
 [[noreturn]] void persist_misuse(int rank, const char* call,
@@ -126,40 +125,7 @@ namespace {
   san::mpi_persist_misuse(rank, call, what);
   throw std::logic_error(std::string(call) + ": " + what);
 }
-}  // namespace
 
-Proxy::PersistentOp& Proxy::pop_of(const PersistentReq& r, const char* call) {
-  if (r.is_null() || r.v > pops_.size()) {
-    throw std::logic_error(std::string(call) +
-                           ": null or invalid persistent request handle");
-  }
-  return *pops_[static_cast<std::size_t>(r.v - 1)];
-}
-
-PersistentReq Proxy::send_init(const void* b, std::size_t n, smpi::Datatype dt,
-                               int dst, int tag, smpi::Comm c) {
-  auto pop = std::make_unique<PersistentOp>();
-  pop->is_send = true;
-  pop->peer = dst;
-  pop->tag = tag;
-  pop->bytes = n * smpi::datatype_size(dt);
-  pop->req = rc_.send_init(b, n, dt, dst, tag, c);
-  pops_.push_back(std::move(pop));
-  return PersistentReq{pops_.size()};
-}
-
-PersistentReq Proxy::recv_init(void* b, std::size_t n, smpi::Datatype dt,
-                               int src, int tag, smpi::Comm c) {
-  auto pop = std::make_unique<PersistentOp>();
-  pop->peer = src;
-  pop->tag = tag;
-  pop->bytes = n * smpi::datatype_size(dt);
-  pop->req = rc_.recv_init(b, n, dt, src, tag, c);
-  pops_.push_back(std::move(pop));
-  return PersistentReq{pops_.size()};
-}
-
-namespace {
 void validate_partitioned(int rank, const char* call, int tag,
                           std::uint32_t partitions, int peer) {
   if (partitions == 0 ||
@@ -175,73 +141,86 @@ void validate_partitioned(int rank, const char* call, int tag,
     persist_misuse(rank, call, "partitioned ops require a specific peer");
   }
 }
+
+/// A point-to-point command: the offload proxy's one-shot submit, and the
+/// envelope every backend registers a persistent request from.
+Command envelope(CmdOp op, const void* sbuf, void* rbuf, std::size_t n,
+                 smpi::Datatype dt, int peer, int tag, smpi::Comm c) {
+  Command cmd;
+  cmd.op = op;
+  cmd.sbuf = sbuf;
+  cmd.rbuf = rbuf;
+  cmd.count = n;
+  cmd.dtype = dt;
+  cmd.peer = peer;
+  cmd.tag = tag;
+  cmd.comm = c;
+  return cmd;
+}
 }  // namespace
+
+Proxy::PersistentOp& Proxy::pop_of(const PersistentReq& r, const char* call) {
+  if (r.is_null() || r.v > pops_.size()) {
+    throw std::logic_error(std::string(call) +
+                           ": null or invalid persistent request handle");
+  }
+  return pops_[static_cast<std::size_t>(r.v - 1)];
+}
+
+PersistentReq Proxy::persist_register(const Command& env,
+                                      std::uint32_t partitions) {
+  PersistentOp op;
+  op.is_send = env.op == CmdOp::kIsend;
+  op.partitions = partitions;
+  op.peer = env.peer;
+  op.tag = env.tag;
+  op.bytes = env.count * smpi::datatype_size(env.dtype);
+  op.marked.assign(partitions, false);
+  op.backend = backend_init(env, partitions);
+  pops_.push_back(std::move(op));
+  return PersistentReq{pops_.size()};
+}
+
+PersistentReq Proxy::send_init(const void* b, std::size_t n, smpi::Datatype dt,
+                               int dst, int tag, smpi::Comm c) {
+  return persist_register(
+      envelope(CmdOp::kIsend, b, nullptr, n, dt, dst, tag, c), 0);
+}
+
+PersistentReq Proxy::recv_init(void* b, std::size_t n, smpi::Datatype dt,
+                               int src, int tag, smpi::Comm c) {
+  return persist_register(
+      envelope(CmdOp::kIrecv, nullptr, b, n, dt, src, tag, c), 0);
+}
 
 PersistentReq Proxy::psend_init(const void* b, std::size_t n,
                                 smpi::Datatype dt, int dst, int tag,
                                 std::uint32_t partitions, smpi::Comm c) {
   validate_partitioned(rc_.rank(), "psend_init", tag, partitions, dst);
-  auto pop = std::make_unique<PersistentOp>();
-  pop->is_send = true;
-  pop->partitions = partitions;
-  pop->peer = dst;
-  pop->tag = tag;
-  const std::uint64_t bytes = n * smpi::datatype_size(dt);
-  pop->bytes = bytes;
-  pop->parts.resize(partitions);
-  pop->part_started.assign(partitions, false);
-  for (std::uint32_t p = 0; p < partitions; ++p) {
-    const std::uint64_t lo = bytes * p / partitions;
-    const std::uint64_t hi = bytes * (p + 1) / partitions;
-    pop->parts[p] = rc_.send_init(
-        static_cast<const char*>(b) + lo, hi - lo, smpi::Datatype::kByte, dst,
-        smpi::part_wire_tag(tag, static_cast<int>(p)), c);
-  }
-  pops_.push_back(std::move(pop));
-  return PersistentReq{pops_.size()};
+  return persist_register(
+      envelope(CmdOp::kIsend, b, nullptr, n, dt, dst, tag, c), partitions);
 }
 
 PersistentReq Proxy::precv_init(void* b, std::size_t n, smpi::Datatype dt,
                                 int src, int tag, std::uint32_t partitions,
                                 smpi::Comm c) {
   validate_partitioned(rc_.rank(), "precv_init", tag, partitions, src);
-  auto pop = std::make_unique<PersistentOp>();
-  pop->partitions = partitions;
-  pop->peer = src;
-  pop->tag = tag;
-  const std::uint64_t bytes = n * smpi::datatype_size(dt);
-  pop->bytes = bytes;
-  pop->parts.resize(partitions);
-  for (std::uint32_t p = 0; p < partitions; ++p) {
-    const std::uint64_t lo = bytes * p / partitions;
-    const std::uint64_t hi = bytes * (p + 1) / partitions;
-    pop->parts[p] = rc_.recv_init(
-        static_cast<char*>(b) + lo, hi - lo, smpi::Datatype::kByte, src,
-        smpi::part_wire_tag(tag, static_cast<int>(p)), c);
-  }
-  pops_.push_back(std::move(pop));
-  return PersistentReq{pops_.size()};
+  return persist_register(
+      envelope(CmdOp::kIrecv, nullptr, b, n, dt, src, tag, c), partitions);
 }
 
 void Proxy::start(PersistentReq& r) {
-  PersistentOp& pop = pop_of(r, "start");
-  if (pop.state == PState::kFreed) {
+  PersistentOp& op = pop_of(r, "start");
+  if (op.state == PState::kFreed) {
     persist_misuse(rc_.rank(), "start", "request was freed");
   }
-  if (pop.state == PState::kStarted) {
-    persist_misuse(rc_.rank(), "start",
-                   "previous generation still in flight");
+  if (op.state == PState::kStarted) {
+    persist_misuse(rc_.rank(), "start", "previous generation still in flight");
   }
-  pop.state = PState::kStarted;
-  if (pop.partitions == 0) {
-    rc_.start(pop.req);
-    return;
-  }
-  pop.part_started.assign(pop.partitions, false);
-  pop.started_parts = 0;
-  // Sends arm only — pready ships each partition; receives post everything
-  // now (the receiver has no readiness to wait for).
-  if (!pop.is_send) rc_.startall(pop.parts);
+  op.state = PState::kStarted;
+  op.marked.assign(op.partitions, false);
+  op.marked_count = 0;
+  backend_arm(op);
 }
 
 void Proxy::startall(std::span<PersistentReq> rs) {
@@ -249,146 +228,114 @@ void Proxy::startall(std::span<PersistentReq> rs) {
   for (PersistentReq& r : rs) start(r);
 }
 
+void Proxy::mark_ready(PersistentReq& r, std::uint32_t lo, std::uint32_t hi,
+                       const char* call) {
+  PersistentOp& op = pop_of(r, call);
+  if (!op.is_send || op.partitions == 0) {
+    persist_misuse(rc_.rank(), call, "request is not a partitioned send");
+  }
+  if (op.state != PState::kStarted) {
+    persist_misuse(rc_.rank(), call, "no generation started");
+  }
+  if (lo > hi) persist_misuse(rc_.rank(), call, "partition range is empty");
+  if (hi >= op.partitions) {
+    persist_misuse(rc_.rank(), call, "partition out of range");
+  }
+  for (std::uint32_t p = lo; p <= hi; ++p) {
+    if (op.marked[p]) {
+      persist_misuse(rc_.rank(), call,
+                     "partition marked ready twice in one generation");
+    }
+  }
+  // Marks land before the hand-off (which yields), so a racing pready of the
+  // same partition is rejected; the count follows it, so a wait never sees a
+  // generation whose partitions have not all been handed on.
+  for (std::uint32_t p = lo; p <= hi; ++p) op.marked[p] = true;
+  backend_ship(op, lo, hi);
+  op.marked_count += hi - lo + 1;
+}
+
 void Proxy::pready(PersistentReq& r, std::uint32_t p) {
-  PersistentOp& pop = pop_of(r, "pready");
-  if (!pop.is_send || pop.partitions == 0) {
-    persist_misuse(rc_.rank(), "pready", "request is not a partitioned send");
-  }
-  if (pop.state != PState::kStarted) {
-    persist_misuse(rc_.rank(), "pready", "no generation started");
-  }
-  if (p >= pop.partitions) {
-    persist_misuse(rc_.rank(), "pready", "partition out of range");
-  }
-  if (pop.part_started[p]) {
-    persist_misuse(rc_.rank(), "pready",
-                   "partition marked ready twice in one generation");
-  }
-  pop.part_started[p] = true;
-  ++pop.started_parts;
-  rc_.start(pop.parts[p]);  // direct approach: ships right here
+  mark_ready(r, p, p, "pready");
 }
 
 void Proxy::pready_range(PersistentReq& r, std::uint32_t lo,
                          std::uint32_t hi) {
-  if (lo > hi) {
-    persist_misuse(rc_.rank(), "pready_range", "partition range is empty");
-  }
-  for (std::uint32_t p = lo; p <= hi; ++p) pready(r, p);
+  mark_ready(r, lo, hi, "pready_range");
+}
+
+bool Proxy::complete(PersistentOp& op, bool block, smpi::Status* st) {
+  smpi::Status raw;
+  if (!backend_complete(op, block, &raw)) return false;
+  op.state = PState::kInactive;
+  if (st != nullptr) *st = op.whole_message(raw);
+  return true;
 }
 
 void Proxy::wait(PersistentReq& r, smpi::Status* st) {
-  PersistentOp& pop = pop_of(r, "wait");
-  if (pop.state == PState::kFreed) {
+  PersistentOp& op = pop_of(r, "wait");
+  if (op.state == PState::kFreed) {
     persist_misuse(rc_.rank(), "wait", "request was freed");
   }
-  if (pop.state == PState::kInactive) {
+  if (op.state == PState::kInactive) {
     if (st != nullptr) *st = smpi::Status{};
     return;  // trivially complete, like MPI_Wait on an inactive request
   }
-  if (pop.partitions == 0) {
-    rc_.wait(pop.req, st);  // persistent at the MPI layer: handle survives
-  } else {
-    if (pop.is_send && pop.started_parts != pop.partitions) {
-      persist_misuse(rc_.rank(), "wait",
-                     "wait with unmarked partitions (the send can never "
-                     "complete; pready every partition first)");
-    }
-    // waitall nulls array entries of completed persistent requests (the
-    // dead-slot contract) — wait on copies so the originals stay valid.
-    std::vector<smpi::Request> copies(pop.parts.begin(), pop.parts.end());
-    rc_.waitall(copies);
-    if (st != nullptr) {
-      st->source = pop.peer;
-      st->tag = pop.tag;
-      st->bytes = pop.bytes;
-    }
+  if (op.unmarked()) {
+    persist_misuse(rc_.rank(), "wait",
+                   "wait with unmarked partitions (the send can never "
+                   "complete; pready every partition first)");
   }
-  pop.state = PState::kInactive;
+  complete(op, true, st);
 }
 
 bool Proxy::test(PersistentReq& r, smpi::Status* st) {
-  PersistentOp& pop = pop_of(r, "test");
-  if (pop.state == PState::kFreed) {
+  PersistentOp& op = pop_of(r, "test");
+  if (op.state == PState::kFreed) {
     persist_misuse(rc_.rank(), "test", "request was freed");
   }
-  if (pop.state == PState::kInactive) {
+  if (op.state == PState::kInactive) {
     if (st != nullptr) *st = smpi::Status{};
     return true;
   }
-  if (pop.partitions == 0) {
-    if (!rc_.test(pop.req, st)) return false;
-  } else {
-    // Unstarted partitions are inactive — hence settled — at the MPI layer
-    // and would wrongly pass a testall; an unfinished partitioned send is
-    // simply not complete yet.
-    if (pop.is_send && pop.started_parts != pop.partitions) return false;
-    std::vector<smpi::Request> copies(pop.parts.begin(), pop.parts.end());
-    if (!rc_.testall(copies)) return false;
-    if (st != nullptr) {
-      st->source = pop.peer;
-      st->tag = pop.tag;
-      st->bytes = pop.bytes;
-    }
-  }
-  pop.state = PState::kInactive;
-  return true;
+  // A partitioned send with unmarked partitions is simply not complete yet.
+  if (op.unmarked()) return false;
+  return complete(op, false, st);
 }
 
 void Proxy::request_free(PersistentReq& r) {
   if (r.is_null()) return;
-  PersistentOp& pop = pop_of(r, "request_free");
-  if (pop.state == PState::kStarted) {
+  PersistentOp& op = pop_of(r, "request_free");
+  if (op.state == PState::kStarted) {
     persist_misuse(rc_.rank(), "request_free", "generation still in flight");
   }
-  if (pop.state != PState::kFreed) {
-    if (!pop.req.is_null()) rc_.request_free(pop.req);
-    for (smpi::Request& part : pop.parts) {
-      if (!part.is_null()) rc_.request_free(part);
-    }
-    pop.state = PState::kFreed;
+  if (op.state != PState::kFreed) {
+    op.state = PState::kFreed;
+    backend_free(op);
   }
   r = PersistentReq{};
 }
 
 void Proxy::attach_continuation(PersistentReq& r, ContFn fn) {
-  PersistentOp& pop = pop_of(r, "attach_continuation");
-  if (pop.state != PState::kStarted) {
+  PersistentOp& op = pop_of(r, "attach_continuation");
+  if (op.state != PState::kStarted) {
     persist_misuse(rc_.rank(), "attach_continuation",
                    "no generation started on this persistent request");
   }
-  PersistentOp* p = &pop;  // stable: pops_ holds unique_ptrs
-  if (pop.partitions == 0) {
-    PReq pr{static_cast<std::uint64_t>(pop.req.idx)};
-    attach_continuation(pr, [p, f = std::move(fn)](const smpi::Status& st) {
-      // Consumed first: the callback observes kInactive and may start() the
-      // next generation from inside itself.
-      p->state = PState::kInactive;
-      f(st);
-    });
-    return;
-  }
-  if (pop.is_send && pop.started_parts != pop.partitions) {
-    // An armed-but-unmarked partition would leave the when-all counter
-    // permanently short — the continuation could never fire.
+  if (op.unmarked()) {
+    // An unmarked partition would never ship — the continuation could never
+    // fire.
     persist_misuse(rc_.rank(), "attach_continuation",
                    "attach with unmarked partitions (pready every partition "
                    "first)");
   }
-  auto remaining = std::make_shared<std::uint32_t>(pop.partitions);
-  auto cb = std::make_shared<ContFn>(std::move(fn));
-  for (const smpi::Request part : pop.parts) {
-    PReq pr{static_cast<std::uint64_t>(part.idx)};
-    attach_continuation(pr, [p, remaining, cb](const smpi::Status&) {
-      if (--*remaining != 0) return;
-      p->state = PState::kInactive;
-      smpi::Status st;
-      st.source = p->peer;
-      st.tag = p->tag;
-      st.bytes = p->bytes;
-      (*cb)(st);
-    });
-  }
+  PersistentOp* p = &op;  // stable: pops_ is a deque
+  backend_attach(op, [p, f = std::move(fn)](const smpi::Status& st) {
+    // Consumed first: the callback observes kInactive and may start() the
+    // next generation from inside itself.
+    p->state = PState::kInactive;
+    f(p->whole_message(st));
+  });
 }
 
 smpi::Win Proxy::win_create(void* base, std::size_t bytes, smpi::Comm c) {
@@ -542,6 +489,101 @@ void DirectProxy::cont_wait(const std::function<bool()>& done) {
   }
 }
 
+std::uint32_t DirectProxy::backend_init(const Command& env,
+                                        std::uint32_t partitions) {
+  const bool send = env.op == CmdOp::kIsend;
+  PersistentMpi pm;
+  if (partitions == 0) {
+    pm.req = send ? rc_.send_init(env.sbuf, env.count, env.dtype, env.peer,
+                                  env.tag, env.comm)
+                  : rc_.recv_init(env.rbuf, env.count, env.dtype, env.peer,
+                                  env.tag, env.comm);
+  } else {
+    const std::uint64_t bytes = env.count * smpi::datatype_size(env.dtype);
+    pm.parts.resize(partitions);
+    for (std::uint32_t p = 0; p < partitions; ++p) {
+      const int wtag = smpi::part_wire_tag(env.tag, static_cast<int>(p));
+      if (send) {
+        const auto [at, len] = smpi::part_slice(env.sbuf, bytes, partitions, p);
+        pm.parts[p] = rc_.send_init(at, len, smpi::Datatype::kByte, env.peer,
+                                    wtag, env.comm);
+      } else {
+        const auto [at, len] = smpi::part_slice(env.rbuf, bytes, partitions, p);
+        pm.parts[p] = rc_.recv_init(at, len, smpi::Datatype::kByte, env.peer,
+                                    wtag, env.comm);
+      }
+    }
+  }
+  pmpi_.push_back(std::move(pm));
+  return static_cast<std::uint32_t>(pmpi_.size() - 1);
+}
+
+void DirectProxy::backend_arm(const PersistentOp& op) {
+  PersistentMpi& pm = pmpi_[op.backend];
+  if (op.partitions == 0) {
+    rc_.start(pm.req);
+  } else if (!op.is_send) {
+    // A receive posts every partition now (it has no readiness to wait
+    // for); a send ships each partition as it is marked.
+    rc_.startall(pm.parts);
+  }
+}
+
+void DirectProxy::backend_ship(const PersistentOp& op, std::uint32_t lo,
+                               std::uint32_t hi) {
+  PersistentMpi& pm = pmpi_[op.backend];
+  for (std::uint32_t p = lo; p <= hi; ++p) rc_.start(pm.parts[p]);
+}
+
+bool DirectProxy::backend_complete(const PersistentOp& op, bool block,
+                                   smpi::Status* st) {
+  PersistentMpi& pm = pmpi_[op.backend];
+  if (op.partitions == 0) {
+    // Persistent at the MPI layer: the handle survives completion.
+    if (block) {
+      rc_.wait(pm.req, st);
+      return true;
+    }
+    return rc_.test(pm.req, st);
+  }
+  // waitall/testall null the entries of completed persistent requests (the
+  // dead-slot contract): complete copies so the originals stay valid.
+  std::vector<smpi::Request> copies(pm.parts.begin(), pm.parts.end());
+  if (block) {
+    rc_.waitall(copies);
+  } else if (!rc_.testall(copies)) {
+    return false;
+  }
+  st->source = op.peer;
+  return true;
+}
+
+void DirectProxy::backend_free(const PersistentOp& op) {
+  PersistentMpi& pm = pmpi_[op.backend];
+  if (!pm.req.is_null()) rc_.request_free(pm.req);
+  for (smpi::Request& part : pm.parts) rc_.request_free(part);
+}
+
+void DirectProxy::backend_attach(const PersistentOp& op, ContFn fn) {
+  PersistentMpi& pm = pmpi_[op.backend];
+  if (op.partitions == 0) {
+    PReq pr = wrap(pm.req);
+    attach_continuation(pr, std::move(fn));
+    return;
+  }
+  // When-all over the partitions' one-shot continuations.
+  auto remaining = std::make_shared<std::uint32_t>(op.partitions);
+  auto cb = std::make_shared<ContFn>(std::move(fn));
+  smpi::Status whole;
+  whole.source = op.peer;
+  for (const smpi::Request part : pm.parts) {
+    PReq pr = wrap(part);
+    attach_continuation(pr, [remaining, cb, whole](const smpi::Status&) {
+      if (--*remaining == 0) (*cb)(whole);
+    });
+  }
+}
+
 // ------------------------------------------------------------ IprobeProxy ----
 
 void IprobeProxy::progress_hint() {
@@ -630,23 +672,13 @@ Command base_cmd(CmdOp op, smpi::Comm c) {
 
 PReq OffloadProxy::isend(const void* b, std::size_t n, smpi::Datatype dt,
                          int dst, int tag, smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kIsend, c);
-  cmd.sbuf = b;
-  cmd.count = n;
-  cmd.dtype = dt;
-  cmd.peer = dst;
-  cmd.tag = tag;
-  return preq_of(channel_.submit(cmd));
+  return preq_of(channel_.submit(
+      envelope(CmdOp::kIsend, b, nullptr, n, dt, dst, tag, c)));
 }
 PReq OffloadProxy::irecv(void* b, std::size_t n, smpi::Datatype dt, int src,
                          int tag, smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kIrecv, c);
-  cmd.rbuf = b;
-  cmd.count = n;
-  cmd.dtype = dt;
-  cmd.peer = src;
-  cmd.tag = tag;
-  return preq_of(channel_.submit(cmd));
+  return preq_of(channel_.submit(
+      envelope(CmdOp::kIrecv, nullptr, b, n, dt, src, tag, c)));
 }
 void OffloadProxy::wait(PReq& r, smpi::Status* st) {
   if (r.is_null()) return;
@@ -773,14 +805,8 @@ void OffloadProxy::post_batch(std::span<const BatchOp> ops,
       if (o.op != CmdOp::kIsend && o.op != CmdOp::kIrecv) {
         throw std::invalid_argument("post_batch: only isend/irecv ops batch");
       }
-      Command cmd = base_cmd(o.op, o.comm);
-      cmd.sbuf = o.sbuf;
-      cmd.rbuf = o.rbuf;
-      cmd.count = o.count;
-      cmd.dtype = o.dtype;
-      cmd.peer = o.peer;
-      cmd.tag = o.tag;
-      scratch.push_back(cmd);
+      scratch.push_back(envelope(o.op, o.sbuf, o.rbuf, o.count, o.dtype,
+                                 o.peer, o.tag, o.comm));
     }
     channel_.submit_batch(scratch);
     for (std::size_t i = 0; i < n; ++i) {
@@ -841,97 +867,34 @@ PReq OffloadProxy::iallgather(const void* s, void* r, std::size_t n_per,
   return preq_of(channel_.submit(cmd));
 }
 
-// Persistent & partitioned: every call maps onto the channel's PersistSlot
-// machinery (persistent-slot index biased by one so the null handle stays 0).
+// Persistent backend: the channel keeps the mechanics (pinned pool slot,
+// kStartPersistent/kFreePersistent publish, ready words, engine side).
 
-namespace {
-std::uint32_t persist_idx(PersistentReq r, const char* call) {
-  if (r.is_null()) {
-    throw std::logic_error(std::string(call) +
-                           ": null persistent request handle");
-  }
-  return static_cast<std::uint32_t>(r.v - 1);
+std::uint32_t OffloadProxy::backend_init(const Command& env,
+                                         std::uint32_t partitions) {
+  return channel_.persist_init(env, partitions);
 }
-}  // namespace
-
-PersistentReq OffloadProxy::send_init(const void* b, std::size_t n,
-                                      smpi::Datatype dt, int dst, int tag,
-                                      smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kIsend, c);
-  cmd.sbuf = b;
-  cmd.count = n;
-  cmd.dtype = dt;
-  cmd.peer = dst;
-  cmd.tag = tag;
-  return PersistentReq{
-      static_cast<std::uint64_t>(channel_.persist_init(cmd, 0)) + 1};
+void OffloadProxy::backend_arm(const PersistentOp& op) {
+  channel_.persist_start(op.backend);
 }
-
-PersistentReq OffloadProxy::recv_init(void* b, std::size_t n,
-                                      smpi::Datatype dt, int src, int tag,
-                                      smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kIrecv, c);
-  cmd.rbuf = b;
-  cmd.count = n;
-  cmd.dtype = dt;
-  cmd.peer = src;
-  cmd.tag = tag;
-  return PersistentReq{
-      static_cast<std::uint64_t>(channel_.persist_init(cmd, 0)) + 1};
-}
-
-PersistentReq OffloadProxy::psend_init(const void* b, std::size_t n,
-                                       smpi::Datatype dt, int dst, int tag,
-                                       std::uint32_t partitions,
-                                       smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kIsend, c);
-  cmd.sbuf = b;
-  cmd.count = n;
-  cmd.dtype = dt;
-  cmd.peer = dst;
-  cmd.tag = tag;
-  return PersistentReq{
-      static_cast<std::uint64_t>(channel_.persist_init(cmd, partitions)) + 1};
-}
-
-PersistentReq OffloadProxy::precv_init(void* b, std::size_t n,
-                                       smpi::Datatype dt, int src, int tag,
-                                       std::uint32_t partitions,
-                                       smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kIrecv, c);
-  cmd.rbuf = b;
-  cmd.count = n;
-  cmd.dtype = dt;
-  cmd.peer = src;
-  cmd.tag = tag;
-  return PersistentReq{
-      static_cast<std::uint64_t>(channel_.persist_init(cmd, partitions)) + 1};
-}
-
-void OffloadProxy::start(PersistentReq& r) {
-  channel_.persist_start(persist_idx(r, "start"));
-}
-void OffloadProxy::pready(PersistentReq& r, std::uint32_t p) {
-  channel_.persist_pready(persist_idx(r, "pready"), p, p);
-}
-void OffloadProxy::pready_range(PersistentReq& r, std::uint32_t lo,
+void OffloadProxy::backend_ship(const PersistentOp& op, std::uint32_t lo,
                                 std::uint32_t hi) {
-  channel_.persist_pready(persist_idx(r, "pready_range"), lo, hi);
+  channel_.persist_pready(op.backend, lo, hi);
 }
-void OffloadProxy::wait(PersistentReq& r, smpi::Status* st) {
-  channel_.persist_wait(persist_idx(r, "wait"), st);
+bool OffloadProxy::backend_complete(const PersistentOp& op, bool block,
+                                    smpi::Status* st) {
+  // The pinned slot is kept: completion returns the request to inactive.
+  const std::uint32_t slot = channel_.persist_pool_slot(op.backend);
+  if (!block) return channel_.test_done(slot, st, /*keep=*/true);
+  channel_.wait_done(slot, st, /*keep=*/true);
+  return true;
 }
-bool OffloadProxy::test(PersistentReq& r, smpi::Status* st) {
-  return channel_.persist_test(persist_idx(r, "test"), st);
+void OffloadProxy::backend_free(const PersistentOp& op) {
+  channel_.persist_free(op.backend);
 }
-void OffloadProxy::request_free(PersistentReq& r) {
-  if (r.is_null()) return;
-  channel_.persist_free(persist_idx(r, "request_free"));
-  r = PersistentReq{};
-}
-void OffloadProxy::attach_continuation(PersistentReq& r, ContFn fn) {
-  channel_.persist_attach_continuation(persist_idx(r, "attach_continuation"),
-                                       std::move(fn));
+void OffloadProxy::backend_attach(const PersistentOp& op, ContFn fn) {
+  channel_.attach_continuation(channel_.persist_pool_slot(op.backend),
+                               std::move(fn));
 }
 
 void OffloadProxy::attach_continuation(PReq& r, ContFn fn) {

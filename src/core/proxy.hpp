@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -51,14 +52,18 @@ struct PReq {
 
 /// Persistent (init-once/start-many) request handle. Unlike PReq, completion
 /// calls do NOT consume it: wait/test return it to the inactive state, ready
-/// for the next start(); only request_free() retires it. Meaning is
-/// proxy-specific (base PersistentOp-table index + 1 for the direct
-/// approaches, OffloadChannel persistent-slot index + 1 for offload); zero is
-/// the null handle everywhere.
+/// for the next start(); only request_free() retires it. The value is the
+/// index + 1 of the request's record in the Proxy front end, on every
+/// approach; zero is the null handle.
 struct PersistentReq {
   std::uint64_t v = 0;
   [[nodiscard]] bool is_null() const { return v == 0; }
 };
+
+/// Lifecycle of a persistent request. kInactive -> kStarted at start();
+/// kStarted -> kInactive when the completion is consumed (wait/test or a
+/// fired continuation); kFreed is terminal.
+enum class PState : std::uint8_t { kInactive, kStarted, kFreed };
 
 /// One operation of a batched nonblocking post (Proxy::post_batch). Only
 /// point-to-point ops batch: that is the halo-exchange shape the batching
@@ -154,9 +159,9 @@ class Proxy {
   // under the offload approach the engines poll a per-partition ready word
   // and issue early partitions without the sender ever entering MPI.
   //
-  // The base implementations serve the direct approaches (the caller's
-  // thread enters MPI itself: pready ships its partition immediately);
-  // OffloadProxy overrides everything onto its channel.
+  // These calls are the one front end of every approach: they own the
+  // request's state, every legality check and the whole-message Status,
+  // and reach the approach only through the backend hooks below.
 
   virtual PersistentReq send_init(const void* b, std::size_t n,
                                   smpi::Datatype dt, int dst, int tag,
@@ -165,8 +170,8 @@ class Proxy {
                                   int src, int tag,
                                   smpi::Comm c = smpi::kCommWorld);
   /// Partitioned send: `partitions` contiguous byte slices of the buffer
-  /// (1..kMaxPartitions; tag < kMaxPartBaseTag). Every generation must mark
-  /// each partition ready exactly once via pready.
+  /// (1..kMaxPartitions; tag < kMaxPartBaseTag; a specific peer). Every
+  /// generation must mark each partition ready exactly once via pready.
   virtual PersistentReq psend_init(const void* b, std::size_t n,
                                    smpi::Datatype dt, int dst, int tag,
                                    std::uint32_t partitions,
@@ -183,7 +188,8 @@ class Proxy {
   /// Mark partition `p` of a started partitioned send ready. Throws on
   /// double-mark, on an inactive generation, or on a non-partitioned handle.
   virtual void pready(PersistentReq& r, std::uint32_t p);
-  /// pready for every partition in [lo, hi].
+  /// pready for every partition in [lo, hi]; a misuse anywhere in the range
+  /// throws before any partition is marked.
   virtual void pready_range(PersistentReq& r, std::uint32_t lo,
                             std::uint32_t hi);
   /// Block until the current generation completes; the handle returns to
@@ -198,7 +204,8 @@ class Proxy {
   virtual void request_free(PersistentReq& r);
   /// Bind `fn` to the CURRENT generation's completion. The handle is NOT
   /// consumed: the callback observes the request back in the inactive state
-  /// and may start() the next generation from inside itself.
+  /// and may start() the next generation from inside itself. A partitioned
+  /// send must have every partition marked first.
   virtual void attach_continuation(PersistentReq& r, ContFn fn);
 
   // ---- completion ----
@@ -279,9 +286,9 @@ class Proxy {
   [[nodiscard]] virtual std::size_t inflight() const { return 0; }
 
  protected:
-  /// Generic persistent request record for the direct approaches: one (or
-  /// one-per-partition) rc_-level persistent MPI request. unique_ptr: stable
-  /// addresses (continuation callbacks capture the record), never reused.
+  /// Front-end record of one persistent request. Held in a deque: stable
+  /// addresses (callers keep a reference across yields, continuation
+  /// wrappers capture it), never reused.
   struct PersistentOp {
     PState state = PState::kInactive;
     bool is_send = false;
@@ -289,16 +296,61 @@ class Proxy {
     int peer = -1;
     int tag = 0;                   ///< base tag (partition tags derive)
     std::uint64_t bytes = 0;       ///< whole-message size (Status synth)
-    smpi::Request req{};           ///< plain: the one rc_ request
-    std::vector<smpi::Request> parts;      ///< partitioned: per partition
-    std::vector<bool> part_started;        ///< this generation's pready marks
-    std::uint32_t started_parts = 0;       ///< count of marks this generation
+    std::uint32_t backend = 0;     ///< the backend's id (backend_init)
+    std::vector<bool> marked;      ///< this generation's pready marks
+    std::uint32_t marked_count = 0;  ///< partitions marked and handed on
+
+    /// A partitioned send that cannot complete yet: a partition is unmarked.
+    [[nodiscard]] bool unmarked() const {
+      return is_send && partitions != 0 && marked_count != partitions;
+    }
+    /// The Status a completed generation reports: a partitioned request
+    /// answers for the whole message (base tag, total bytes); the
+    /// per-partition wire tags are an implementation detail.
+    [[nodiscard]] smpi::Status whole_message(smpi::Status st) const {
+      if (partitions != 0) {
+        st.tag = tag;
+        st.bytes = bytes;
+      }
+      return st;
+    }
   };
+
+  // ---- persistent backend hooks ----
+  // Called only once the front end has validated the call and updated the
+  // record; they carry the approach's mechanics and no legality checks.
+  /// Register an envelope: `env` is the equivalent one-shot kIsend/kIrecv
+  /// command, `partitions` 0 for a plain persistent request. Returns the
+  /// backend's id for the record.
+  virtual std::uint32_t backend_init(const Command& env,
+                                     std::uint32_t partitions) = 0;
+  /// Begin a generation. A partitioned send only arms: its partitions ship
+  /// through backend_ship.
+  virtual void backend_arm(const PersistentOp& op) = 0;
+  /// Hand partitions [lo, hi] of an armed partitioned send on for shipping.
+  virtual void backend_ship(const PersistentOp& op, std::uint32_t lo,
+                            std::uint32_t hi) = 0;
+  /// Complete the generation: block until it is done, or poll once and
+  /// report whether it is. `st` receives the raw Status (for a partitioned
+  /// request only its source counts; the front end fills tag and bytes).
+  virtual bool backend_complete(const PersistentOp& op, bool block,
+                                smpi::Status* st) = 0;
+  /// Release the request (no generation in flight).
+  virtual void backend_free(const PersistentOp& op) = 0;
+  /// Run `fn` once when the current generation completes, with the raw
+  /// Status as for backend_complete.
+  virtual void backend_attach(const PersistentOp& op, ContFn fn) = 0;
+
+  smpi::RankCtx& rc_;
+
+ private:
+  std::deque<PersistentOp> pops_;
   /// Look up a handle, throwing on null/out-of-range.
   PersistentOp& pop_of(const PersistentReq& r, const char* call);
-
-  std::vector<std::unique_ptr<PersistentOp>> pops_;
-  smpi::RankCtx& rc_;
+  PersistentReq persist_register(const Command& env, std::uint32_t partitions);
+  void mark_ready(PersistentReq& r, std::uint32_t lo, std::uint32_t hi,
+                  const char* call);
+  bool complete(PersistentOp& op, bool block, smpi::Status* st);
 };
 
 /// Direct-call proxy (baseline); also the base for iprobe and comm-self.
@@ -348,6 +400,19 @@ class DirectProxy : public Proxy {
   /// land in armed_ and are picked up by the restarted scan).
   void pump_continuations();
 
+  // Persistent backend: one rc_-level persistent MPI request per request
+  // (or per partition). The calling thread enters MPI itself, so a shipped
+  // partition goes to the wire right there.
+  std::uint32_t backend_init(const Command& env,
+                             std::uint32_t partitions) override;
+  void backend_arm(const PersistentOp& op) override;
+  void backend_ship(const PersistentOp& op, std::uint32_t lo,
+                    std::uint32_t hi) override;
+  bool backend_complete(const PersistentOp& op, bool block,
+                        smpi::Status* st) override;
+  void backend_free(const PersistentOp& op) override;
+  void backend_attach(const PersistentOp& op, ContFn fn) override;
+
  private:
   struct Armed {
     smpi::Request req;
@@ -355,6 +420,13 @@ class DirectProxy : public Proxy {
   };
   std::vector<Armed> armed_;
   bool pumping_ = false;
+  /// The rc_-level requests behind each persistent request, by backend id
+  /// (deque: rc_.wait takes the handle by reference across yields).
+  struct PersistentMpi {
+    smpi::Request req{};               ///< plain: the one rc_ request
+    std::vector<smpi::Request> parts;  ///< partitioned: per partition
+  };
+  std::deque<PersistentMpi> pmpi_;
 };
 
 class IprobeProxy : public DirectProxy {
@@ -383,6 +455,11 @@ class CommSelfProxy : public DirectProxy {
 
 class OffloadProxy : public Proxy {
  public:
+  // The PReq overrides below would hide the front end's PersistentReq
+  // overloads — keep both visible.
+  using Proxy::wait;
+  using Proxy::test;
+  using Proxy::attach_continuation;
   /// Tuning from the machine profile + the MPIOFF_PROXY env spec.
   explicit OffloadProxy(smpi::RankCtx& rc);
   /// Explicit tuning (tests/ablations); the environment is NOT consulted.
@@ -436,28 +513,19 @@ class OffloadProxy : public Proxy {
   void attach_continuation(PReq& r, ContFn fn) override;
   void cont_wait(const std::function<bool()>& done) override;
 
-  // ---- persistent & partitioned: mapped onto the channel's PersistSlots.
-  // start publishes one cheap kStartPersistent command; pready publishes a
-  // partition-ready bit the engines poll (early-partition shipping).
-  PersistentReq send_init(const void* b, std::size_t n, smpi::Datatype dt,
-                          int dst, int tag,
-                          smpi::Comm c = smpi::kCommWorld) override;
-  PersistentReq recv_init(void* b, std::size_t n, smpi::Datatype dt, int src,
-                          int tag, smpi::Comm c = smpi::kCommWorld) override;
-  PersistentReq psend_init(const void* b, std::size_t n, smpi::Datatype dt,
-                           int dst, int tag, std::uint32_t partitions,
-                           smpi::Comm c = smpi::kCommWorld) override;
-  PersistentReq precv_init(void* b, std::size_t n, smpi::Datatype dt, int src,
-                           int tag, std::uint32_t partitions,
-                           smpi::Comm c = smpi::kCommWorld) override;
-  void start(PersistentReq& r) override;
-  void pready(PersistentReq& r, std::uint32_t p) override;
-  void pready_range(PersistentReq& r, std::uint32_t lo,
+ protected:
+  // Persistent backend: the channel's PersistSlots. A start publishes one
+  // cheap kStartPersistent command; a shipped partition sets a ready bit
+  // the engines poll (early-partition shipping).
+  std::uint32_t backend_init(const Command& env,
+                             std::uint32_t partitions) override;
+  void backend_arm(const PersistentOp& op) override;
+  void backend_ship(const PersistentOp& op, std::uint32_t lo,
                     std::uint32_t hi) override;
-  void wait(PersistentReq& r, smpi::Status* st = nullptr) override;
-  bool test(PersistentReq& r, smpi::Status* st = nullptr) override;
-  void request_free(PersistentReq& r) override;
-  void attach_continuation(PersistentReq& r, ContFn fn) override;
+  bool backend_complete(const PersistentOp& op, bool block,
+                        smpi::Status* st) override;
+  void backend_free(const PersistentOp& op) override;
+  void backend_attach(const PersistentOp& op, ContFn fn) override;
 
  private:
   OffloadChannel channel_;

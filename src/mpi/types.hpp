@@ -7,6 +7,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 
 namespace smpi {
 
@@ -31,6 +33,21 @@ inline constexpr int kMaxPartBaseTag = 1 << 17;
 /// Wire tag of partition `p` of a partitioned op with base tag `tag`.
 constexpr int part_wire_tag(int tag, int p) {
   return kPartTagBit | (tag << kPartTagShift) | p;
+}
+
+/// Slice `p` of a `bytes`-byte buffer cut into `partitions` contiguous
+/// partitions: its address and length. A phantom (nullptr) buffer slices
+/// into phantom partitions, never nullptr + offset. `V` is void or const
+/// void.
+template <typename V>
+std::pair<V*, std::size_t> part_slice(V* buf, std::uint64_t bytes,
+                                      std::uint32_t partitions,
+                                      std::uint32_t p) {
+  using Byte = std::conditional_t<std::is_const_v<V>, const char, char>;
+  const std::uint64_t lo = bytes * p / partitions;
+  const std::uint64_t hi = bytes * (p + 1) / partitions;
+  V* at = buf == nullptr ? nullptr : static_cast<Byte*>(buf) + lo;
+  return {at, static_cast<std::size_t>(hi - lo)};
 }
 
 /// MPI_Init_thread levels. kSingle and kSerialized behave like kFunneled in

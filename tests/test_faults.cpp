@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -212,12 +213,20 @@ TEST(FaultPlan, SameSeedSameScheduleAndResults) {
 
 // ------------------------------------------------------------- the soak ----
 
+// A fault mix and the short label the test name shows for it.
+struct Mix {
+  const char* label;
+  const char* spec;
+};
+
+void PrintTo(const Mix& m, std::ostream* os) { *os << m.label; }
+
 class FaultSoak
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, Mix>> {};
 
 TEST_P(FaultSoak, AllProxiesBitIdenticalToFaultFreeRun) {
   const auto [seed, mix] = GetParam();
-  FaultSpec faults = FaultSpec::parse(mix);
+  FaultSpec faults = FaultSpec::parse(mix.spec);
   faults.seed = seed;
 
   // Fault-free reference: what MPI semantics say the workload must produce.
@@ -242,10 +251,13 @@ INSTANTIATE_TEST_SUITE_P(
     SeedsAndMixes, FaultSoak,
     ::testing::Combine(
         ::testing::Values<std::uint64_t>(1, 2),
-        ::testing::Values("drop=0.03", "drop=0.02,dup=0.03",
-                          "corrupt=0.02,reorder=0.1,delay=0.3:15us",
-                          "drop=0.02,dup=0.02,corrupt=0.01,reorder=0.05,"
-                          "stall=0.01:40us")));
+        ::testing::Values(
+            Mix{"drop", "drop=0.03"}, Mix{"drop_dup", "drop=0.02,dup=0.03"},
+            Mix{"corrupt_reorder_delay",
+                "corrupt=0.02,reorder=0.1,delay=0.3:15us"},
+            Mix{"all_faults",
+                "drop=0.02,dup=0.02,corrupt=0.01,reorder=0.05,"
+                "stall=0.01:40us"})));
 
 // ------------------------------------------------------- matching layer ----
 

@@ -73,6 +73,13 @@ struct DistCase {
   Approach approach;
 };
 
+// Test names carry the printed parameter; print the fields, not the raw
+// bytes (which would include uninitialised padding).
+void PrintTo(const DistCase& c, std::ostream* os) {
+  *os << c.ranks << "_ranks_" << c.rows << "x" << c.cols << "_"
+      << core::approach_name(c.approach);
+}
+
 class DistFft : public ::testing::TestWithParam<DistCase> {};
 
 TEST_P(DistFft, MatchesNaiveDft) {

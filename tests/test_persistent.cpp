@@ -1,14 +1,17 @@
 // Persistent & partitioned point-to-point (DESIGN.md §16): the request
 // lifecycle state machine (init -> start -> complete -> restart), pool-slot
 // reuse across generations, partition-readiness protocol (double-mark,
-// out-of-order publication), continuation interop over generations, and the
-// differential soak — partitioned QCD/CNN results bit-identical to the
-// one-shot paths across all four approaches, clean and faulted.
+// out-of-order publication), phantom (nullptr) partitioned buffers, freeing
+// then stopping with several engines, continuation interop over
+// generations, and the differential soak — partitioned QCD/CNN results
+// bit-identical to the one-shot paths across all four approaches, clean and
+// faulted.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "apps/cnn/trainer.hpp"
@@ -59,6 +62,8 @@ TEST_P(PersistentLifecycle, MisuseThrows) {
     auto p = core::make_proxy(a, rc);
     p->start_engine();
     std::vector<char> buf(256);
+    const auto too_many =
+        static_cast<std::uint32_t>(smpi::kMaxPartitions) + 1;
     if (rc.rank() == 0) {
       PersistentReq s = p->send_init(buf.data(), buf.size(), Datatype::kByte,
                                      1, 5);
@@ -92,6 +97,13 @@ TEST_P(PersistentLifecycle, MisuseThrows) {
       p->pready(ps, 3);
       p->wait(ps);
       p->request_free(ps);
+      // Partition count 1..kMaxPartitions, the same on every approach.
+      EXPECT_THROW(p->psend_init(buf.data(), buf.size(), Datatype::kByte, 1,
+                                 7, 0),
+                   std::logic_error);
+      EXPECT_THROW(p->psend_init(buf.data(), buf.size(), Datatype::kByte, 1,
+                                 7, too_many),
+                   std::logic_error);
       EXPECT_TRUE(ps.is_null());
       p->request_free(ps);  // freeing a null handle is idempotent
       p->request_free(s);
@@ -106,22 +118,23 @@ TEST_P(PersistentLifecycle, MisuseThrows) {
       p->start(pr);
       p->wait(pr);
       p->request_free(pr);
+      EXPECT_THROW(p->precv_init(buf.data(), buf.size(), Datatype::kByte, 0,
+                                 7, 0),
+                   std::logic_error);
+      EXPECT_THROW(p->precv_init(buf.data(), buf.size(), Datatype::kByte, 0,
+                                 7, too_many),
+                   std::logic_error);
     }
     p->barrier();
     p->stop();
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(Approaches, PersistentLifecycle,
-                         ::testing::Values(Approach::kBaseline,
-                                           Approach::kIprobe,
-                                           Approach::kCommSelf,
-                                           Approach::kOffload));
-
-TEST(PersistentLifecycle, PartitionedRequiresSpecificSource) {
-  smpi::Cluster cluster(ccfg(2, Approach::kBaseline));
+TEST_P(PersistentLifecycle, PartitionedRequiresSpecificSource) {
+  const Approach a = GetParam();
+  smpi::Cluster cluster(ccfg(2, a));
   cluster.run([&](smpi::RankCtx& rc) {
-    auto p = core::make_proxy(Approach::kBaseline, rc);
+    auto p = core::make_proxy(a, rc);
     p->start_engine();
     std::vector<char> buf(64);
     // Partition frames carry encoded wire tags a wildcard can never match.
@@ -132,6 +145,12 @@ TEST(PersistentLifecycle, PartitionedRequiresSpecificSource) {
     p->stop();
   });
 }
+
+INSTANTIATE_TEST_SUITE_P(Approaches, PersistentLifecycle,
+                         ::testing::Values(Approach::kBaseline,
+                                           Approach::kIprobe,
+                                           Approach::kCommSelf,
+                                           Approach::kOffload));
 
 TEST(PersistentLifecycle, RestartReusesPoolSlot) {
   constexpr int kGens = 6;
@@ -225,6 +244,86 @@ INSTANTIATE_TEST_SUITE_P(Approaches, PartitionedData,
                                            Approach::kIprobe,
                                            Approach::kCommSelf,
                                            Approach::kOffload));
+
+// Phantom (nullptr) payloads move only byte counts: a partitioned request on
+// a null buffer must slice into null partitions, never nullptr + offset.
+class PhantomPartitioned
+    : public ::testing::TestWithParam<std::tuple<Approach, std::size_t>> {};
+
+TEST_P(PhantomPartitioned, NullBufferRoundTrip) {
+  const auto [a, part_bytes] = GetParam();
+  constexpr std::uint32_t kParts = 8;
+  smpi::Cluster cluster(ccfg(2, a));
+  cluster.run([&](smpi::RankCtx& rc) {
+    auto p = core::make_proxy(a, rc);
+    p->start_engine();
+    const std::size_t bytes = part_bytes * kParts;
+    PersistentReq r =
+        rc.rank() == 0
+            ? p->psend_init(nullptr, bytes, Datatype::kByte, 1, 4, kParts)
+            : p->precv_init(nullptr, bytes, Datatype::kByte, 0, 4, kParts);
+    for (int g = 0; g < 2; ++g) {
+      p->start(r);
+      if (rc.rank() == 0) p->pready_range(r, 0, kParts - 1);
+      smpi::Status st;
+      p->wait(r, &st);
+      EXPECT_EQ(st.bytes, bytes);
+    }
+    p->request_free(r);
+    p->barrier();
+    p->stop();
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Approaches, PhantomPartitioned,
+    ::testing::Combine(::testing::Values(Approach::kBaseline,
+                                         Approach::kIprobe,
+                                         Approach::kCommSelf,
+                                         Approach::kOffload),
+                       ::testing::Values(std::size_t{512},
+                                         std::size_t{136 * 1024})));
+
+// Freeing partitioned requests whose partitions several engines shipped,
+// then stopping: every engine must still see its shutdown. The virtual
+// deadline turns a regression into a failure instead of a hung run.
+class PartitionedFreeThenStop : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PartitionedFreeThenStop, AllEnginesExit) {
+  constexpr int kRanks = 4;
+  constexpr std::uint32_t kParts = 8;
+  constexpr std::size_t kFace = kParts * 136 * 1024;
+  smpi::ClusterConfig cc = ccfg(kRanks);
+  cc.deadline = sim::Time::from_ms(100);  // a clean run needs ~2 ms
+  smpi::Cluster cluster(cc);
+  cluster.run([&](smpi::RankCtx& rc) {
+    core::ProxyOptions opts;
+    opts.proxy_count = GetParam();
+    core::OffloadProxy p(rc, opts);
+    p.start_engine();
+    const int r = rc.rank();
+    const int right = (r + 1) % kRanks, left = (r + kRanks - 1) % kRanks;
+    std::vector<char> to_r(kFace), to_l(kFace), from_l(kFace), from_r(kFace);
+    std::vector<PersistentReq> reqs = {
+        p.psend_init(to_r.data(), kFace, Datatype::kByte, right, 1, kParts),
+        p.psend_init(to_l.data(), kFace, Datatype::kByte, left, 2, kParts),
+        p.precv_init(from_l.data(), kFace, Datatype::kByte, left, 1, kParts),
+        p.precv_init(from_r.data(), kFace, Datatype::kByte, right, 2, kParts)};
+    for (int g = 0; g < 4; ++g) {
+      p.startall(reqs);
+      p.pready_range(reqs[0], 0, kParts - 1);
+      p.pready_range(reqs[1], 0, kParts - 1);
+      for (PersistentReq& q : reqs) p.wait(q);
+    }
+    for (PersistentReq& q : reqs) p.request_free(q);
+    p.stop();
+    EXPECT_EQ(p.inflight(), 0u);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, PartitionedFreeThenStop,
+                         ::testing::Values(std::size_t{2}, std::size_t{3},
+                                           std::size_t{4}));
 
 // -------------------------------------------------------------- continuation --
 
