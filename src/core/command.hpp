@@ -17,8 +17,6 @@ enum class CmdOp : std::uint8_t {
   kIallreduce,
   kIalltoall,
   kIallgather,
-  kIgather,
-  kIscatter,
   kWinCreate,
   kWinFree,
   kPut,
@@ -47,8 +45,6 @@ constexpr const char* cmd_op_name(CmdOp op) {
     case CmdOp::kIallreduce: return "cmd:iallreduce";
     case CmdOp::kIalltoall:  return "cmd:ialltoall";
     case CmdOp::kIallgather: return "cmd:iallgather";
-    case CmdOp::kIgather:    return "cmd:igather";
-    case CmdOp::kIscatter:   return "cmd:iscatter";
     case CmdOp::kWinCreate:  return "cmd:win-create";
     case CmdOp::kWinFree:    return "cmd:win-free";
     case CmdOp::kPut:        return "cmd:put";

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
+#include <optional>
+#include <string>
 #include <stdexcept>
 
 #include "san/san.hpp"
@@ -126,17 +129,13 @@ OffloadChannel::Lane* OffloadChannel::lane_for_caller(std::size_t engine_idx,
   if (s >= lane_of_slot_.size()) lane_of_slot_.resize(s + 1, kNoLane);
   std::uint32_t row = lane_of_slot_[s];
   if (row == kNoLane) {
-    if (next_lane_ < opts_.lane_count) {
-      row = static_cast<std::uint32_t>(next_lane_++);
-      lane_of_slot_[s] = row;
-      for (std::size_t e = 0; e < engines_.size(); ++e) {
-        lanes_[row * engines_.size() + e]->owner_slot = slot;
-      }
-    } else {
-      // More submitting fibers than lane rows: overflow to the shared rings.
-      lane_of_slot_[s] = kSharedRing;
-      overflow = true;
-      return nullptr;
+    // More submitting fibers than lane rows: overflow to the shared rings.
+    row = next_lane_ < opts_.lane_count
+              ? static_cast<std::uint32_t>(next_lane_++)
+              : kSharedRing;
+    lane_of_slot_[s] = row;
+    for (std::size_t e = 0; row != kSharedRing && e < engines_.size(); ++e) {
+      lanes_[row * engines_.size() + e]->owner_slot = slot;
     }
   }
   if (row == kSharedRing) {
@@ -146,7 +145,7 @@ OffloadChannel::Lane* OffloadChannel::lane_for_caller(std::size_t engine_idx,
   return lanes_[row * engines_.size() + engine_idx].get();
 }
 
-std::uint32_t OffloadChannel::alloc_slot() {
+std::uint32_t OffloadChannel::alloc_slot(Engine* e) {
   const auto& p = rc_.profile();
   // Allocate the proxy request (lock-free pool op).
   sim::advance(p.request_pool_op);
@@ -158,41 +157,30 @@ std::uint32_t OffloadChannel::alloc_slot() {
     // instead of a silent deadlock.
     if (retries > 64) {
       throw std::runtime_error(
-          "offload request pool exhausted: too many outstanding requests "
-          "(increase pool_capacity or wait on requests sooner)");
+          e == nullptr
+              ? "offload request pool exhausted: too many outstanding "
+                "requests (increase pool_capacity or wait on requests sooner)"
+              : "offload request pool exhausted while posting from a "
+                "continuation (increase pool_capacity or post smaller "
+                "follow-up graphs)");
     }
     ++stats_.pool_full_stalls;
     trace::instant("stall:pool-full", "offload");
-    const std::uint64_t seen = completions_.count();
-    completions_.wait_beyond_timeout(seen, sim::Time::from_us(200));
+    if (e == nullptr) {
+      const std::uint64_t seen = completions_.count();
+      completions_.wait_beyond_timeout(seen, sim::Time::from_us(200));
+    } else {
+      // Engine context: blocking on completions_ would deadlock (the engines
+      // are its only signallers). Complete in-flight work instead, and
+      // advance the clock so application fibers get a chance to free
+      // finished slots.
+      drive_progress(*e);
+      sim::advance(sim::Time::from_us(1));
+    }
     proxy = pool_.alloc();
   }
   san::acquire(&pool_, proxy);  // HB edge from the releasing free()
   cont_.reset(proxy);  // recycle the slot's continuation state with it
-  return proxy;
-}
-
-std::uint32_t OffloadChannel::alloc_slot_engine(Engine& e) {
-  const auto& p = rc_.profile();
-  sim::advance(p.request_pool_op);
-  std::uint32_t proxy = pool_.alloc();
-  for (int retries = 0; proxy == RequestPool::kNil; ++retries) {
-    // Engine context: blocking on completions_ would deadlock (the engines
-    // are its only signallers). Complete in-flight work instead, and advance
-    // the clock so application fibers get a chance to free finished slots.
-    if (retries > 64) {
-      throw std::runtime_error(
-          "offload request pool exhausted while posting from a continuation "
-          "(increase pool_capacity or post smaller follow-up graphs)");
-    }
-    ++stats_.pool_full_stalls;
-    trace::instant("stall:pool-full", "offload");
-    drive_progress(e);
-    sim::advance(sim::Time::from_us(1));
-    proxy = pool_.alloc();
-  }
-  san::acquire(&pool_, proxy);
-  cont_.reset(proxy);
   return proxy;
 }
 
@@ -203,51 +191,70 @@ std::uint32_t OffloadChannel::submit_from_engine(Engine& e, Command cmd) {
   // This is also the no-deadlock rule: a full ring can never wedge a
   // posting callback.
   trace::Scope tsc("cont:post", "offload");
-  cmd.proxy = alloc_slot_engine(e);
+  cmd.proxy = alloc_slot(&e);
   ++stats_.cont_posts;
   process_command(e, cmd);
   return cmd.proxy;
 }
 
-void OffloadChannel::push_lane(Lane& lane, const Command& cmd) {
-  const auto& p = rc_.profile();
-  for (int spins = 0; !lane.ring.try_push(cmd); ++spins) {
-    if (spins > kFullSpinBound) {
-      throw std::runtime_error(
-          "offload submission lane stuck full: engine is not draining "
-          "(increase lane_capacity or check the offload fibers are running)");
+OffloadChannel::Lane* OffloadChannel::publish(std::size_t eidx,
+                                              std::span<Command> cmds,
+                                              bool control) {
+  bool overflow = false;
+  Lane* lane = control ? nullptr : lane_for_caller(eidx, overflow);
+  Engine& e = *engines_[eidx];
+  // A ring's producers serialize on its tail cache line, each acquisition
+  // charging Profile::mpsc_line_transfer — once per group, however many
+  // commands it carries. Lane producers never touch it.
+  std::optional<sim::LockGuard> tail;
+  if (lane == nullptr) tail.emplace(e.tail_line);
+  std::span<Command> rest = cmds;
+  for (int spins = 0;; ++spins) {
+    if (lane != nullptr) {
+      const std::size_t n = lane->ring.try_push_n(rest);
+      if (n != 0) san::channel_push(lane, n);  // one release covers the group
+      rest = rest.subspan(n);
+    } else {
+      while (!rest.empty() && e.ring.try_push(rest.front())) {
+        san::channel_push(&e.ring);  // MPSC publish: seq store-release
+        rest = rest.subspan(1);
+      }
     }
-    ++stats_.lane_full_stalls;
-    ++lane.stats.full_stalls;
-    trace::instant("stall:lane-full", "offload");
-    rc_.arrivals().signal();
-    sim::advance(p.cmd_enqueue);  // retry cost
-  }
-  san::channel_push(&lane);  // SPSC publish: tail store-release
-  const std::size_t occ = lane.ring.size_approx();
-  lane.stats.max_occupancy =
-      std::max<std::uint64_t>(lane.stats.max_occupancy, occ);
-  lane.gauge.set(static_cast<double>(occ));
-}
-
-void OffloadChannel::push_shared_locked(Engine& e, const Command& cmd) {
-  const auto& p = rc_.profile();
-  // The target ring's tail cache line: concurrent producers serialize here,
-  // each acquisition charging Profile::mpsc_line_transfer.
-  sim::LockGuard g(e.tail_line);
-  for (int spins = 0; !e.ring.try_push(cmd); ++spins) {
-    if (spins > kFullSpinBound) {
+    if (rest.empty()) break;
+    if (spins == kFullSpinBound) {
       throw std::runtime_error(
-          "offload command ring stuck full: engine is not draining "
-          "(increase ring_capacity or check the offload fibers are running)");
+          std::string("offload ") +
+          (lane != nullptr ? "submission lane" : "command ring") +
+          " stuck full: engine is not draining (increase " +
+          (lane != nullptr ? "lane_capacity" : "ring_capacity") +
+          " or check the offload fibers are running)");
     }
-    ++stats_.ring_full_stalls;
-    trace::instant("stall:ring-full", "offload");
+    if (lane != nullptr) {
+      ++stats_.lane_full_stalls;
+      ++lane->stats.full_stalls;
+      trace::instant("stall:lane-full", "offload");
+    } else {
+      ++stats_.ring_full_stalls;
+      trace::instant("stall:ring-full", "offload");
+    }
     rc_.arrivals().signal();
-    sim::advance(p.cmd_enqueue);  // retry cost
+    sim::advance(rc_.profile().cmd_enqueue);  // retry cost
   }
-  san::channel_push(&e.ring);  // MPSC publish: seq store-release
-  e.g_ring.set(static_cast<double>(e.ring.size_approx()));
+  if (lane != nullptr) {
+    const std::size_t occ = lane->ring.size_approx();
+    lane->stats.max_occupancy =
+        std::max<std::uint64_t>(lane->stats.max_occupancy, occ);
+    lane->gauge.set(static_cast<double>(occ));
+    lane->stats.submits += cmds.size();
+    stats_.lane_submits += cmds.size();
+  } else {
+    e.g_ring.set(static_cast<double>(e.ring.size_approx()));
+    if (!control) {
+      (overflow ? stats_.overflow_submits : stats_.shared_submits) +=
+          cmds.size();
+    }
+  }
+  return lane;
 }
 
 std::uint32_t OffloadChannel::submit(Command cmd) {
@@ -265,13 +272,13 @@ std::uint32_t OffloadChannel::submit(Command cmd) {
 
 void OffloadChannel::submit_batch(std::span<Command> cmds) {
   if (cmds.empty()) return;
+  ++stats_.batches;
+  stats_.batched_commands += cmds.size();
   if (Engine* eng = engine_for_current_fiber(); eng != nullptr) {
     // Engine context keeps the batch's FIFO order but issues directly; the
     // batching win (one doorbell, one publish) is moot when an engine is
     // already awake running the posting callback.
     for (Command& c : cmds) c.proxy = submit_from_engine(*eng, c);
-    ++stats_.batches;
-    stats_.batched_commands += cmds.size();
     return;
   }
   trace::Scope tsc("cmd:enqueue-batch", "offload");
@@ -294,80 +301,22 @@ void OffloadChannel::submit_batch(std::span<Command> cmds) {
   while (i < cmds.size()) {
     std::size_t j = i + 1;
     while (j < cmds.size() && target[j] == target[i]) ++j;
-    std::span<Command> group = cmds.subspan(i, j - i);
-    const std::size_t eidx = target[i];
-    bool overflow = false;
-    if (Lane* lane = lane_for_caller(eidx, overflow); lane != nullptr) {
-      std::span<Command> rest = group;
-      int spins = 0;
-      while (!rest.empty()) {
-        const std::size_t n = lane->ring.try_push_n(rest);
-        if (n != 0) san::channel_push(lane, n);  // one release covers the group
-        rest = rest.subspan(n);
-        if (rest.empty()) break;
-        if (++spins > kFullSpinBound) {
-          throw std::runtime_error(
-              "offload submission lane stuck full: engine is not draining "
-              "(increase lane_capacity or check the offload fibers are "
-              "running)");
-        }
-        ++stats_.lane_full_stalls;
-        ++lane->stats.full_stalls;
-        trace::instant("stall:lane-full", "offload");
-        rc_.arrivals().signal();
-        sim::advance(p.cmd_enqueue);  // retry cost
-      }
-      const std::size_t occ = lane->ring.size_approx();
-      lane->stats.max_occupancy =
-          std::max<std::uint64_t>(lane->stats.max_occupancy, occ);
-      lane->gauge.set(static_cast<double>(occ));
-      lane->stats.submits += group.size();
+    // Without a lane the group still amortizes the doorbell and pays the
+    // tail cache-line transfer once per engine touched.
+    const std::size_t n = j - i;
+    if (Lane* lane = publish(target[i], cmds.subspan(i, n)); lane != nullptr) {
       ++lane->stats.batches;
-      lane->stats.batched_commands += group.size();
-      stats_.lane_submits += group.size();
-    } else {
-      // No lane: the group still amortizes the doorbell and pays the tail
-      // cache-line transfer once per engine touched.
-      Engine& e = *engines_[eidx];
-      sim::LockGuard g(e.tail_line);
-      for (const Command& c : group) {
-        for (int spins = 0; !e.ring.try_push(c); ++spins) {
-          if (spins > kFullSpinBound) {
-            throw std::runtime_error(
-                "offload command ring stuck full: engine is not draining "
-                "(increase ring_capacity or check the offload fibers are "
-                "running)");
-          }
-          ++stats_.ring_full_stalls;
-          trace::instant("stall:ring-full", "offload");
-          rc_.arrivals().signal();
-          sim::advance(p.cmd_enqueue);  // retry cost
-        }
-        san::channel_push(&e.ring);
-      }
-      e.g_ring.set(static_cast<double>(e.ring.size_approx()));
-      (overflow ? stats_.overflow_submits : stats_.shared_submits) +=
-          group.size();
+      lane->stats.batched_commands += n;
     }
     i = j;
   }
-  ++stats_.batches;
-  stats_.batched_commands += cmds.size();
   // ONE doorbell for the whole batch.
   trace::instant("doorbell", "offload");
   rc_.arrivals().signal();
 }
 
-void OffloadChannel::push_to_engine(std::size_t eidx, const Command& cmd) {
-  bool overflow = false;
-  if (Lane* lane = lane_for_caller(eidx, overflow); lane != nullptr) {
-    push_lane(*lane, cmd);
-    ++stats_.lane_submits;
-    ++lane->stats.submits;
-  } else {
-    push_shared_locked(*engines_[eidx], cmd);
-    ++(overflow ? stats_.overflow_submits : stats_.shared_submits);
-  }
+void OffloadChannel::push_to_engine(std::size_t eidx, Command cmd) {
+  publish(eidx, {&cmd, 1});
   // Ring the doorbell: the offload fibers' poll loops notice new work after
   // their detection latency.
   trace::instant("doorbell", "offload");
@@ -384,14 +333,7 @@ std::uint32_t OffloadChannel::persist_init(const Command& cmd,
   // subsequent start pays only cmd_enqueue_persist.
   sim::advance(p.cmd_enqueue);
   auto ps = std::make_unique<PersistSlot>();
-  ps->is_send = cmd.op == CmdOp::kIsend;
-  ps->sbuf = cmd.sbuf;
-  ps->rbuf = cmd.rbuf;
-  ps->count = cmd.count;
-  ps->dtype = cmd.dtype;
-  ps->peer = cmd.peer;
-  ps->tag = cmd.tag;
-  ps->comm = cmd.comm;
+  ps->env = cmd;
   ps->partitions = partitions;
   ps->proxy = alloc_slot();  // pinned for the lifetime of the request
   ps->home_engine = engine_of(cmd);
@@ -450,8 +392,8 @@ void OffloadChannel::publish_persist(CmdOp op, std::uint32_t idx) {
   cmd.op = op;
   cmd.proxy = ps.proxy;
   cmd.count = idx;
-  cmd.peer = ps.peer;
-  cmd.comm = ps.comm;
+  cmd.peer = ps.env.peer;
+  cmd.comm = ps.env.comm;
   if (Engine* e = engine_for_current_fiber(); e != nullptr) {
     // A continuation restarting (or freeing) its own request: issue
     // directly, like every other engine-context post.
@@ -464,25 +406,36 @@ void OffloadChannel::publish_persist(CmdOp op, std::uint32_t idx) {
   push_to_engine(ps.home_engine, cmd);
 }
 
-void OffloadChannel::free_slot(std::uint32_t proxy) {
+void OffloadChannel::release_slot(std::uint32_t proxy, smpi::Status* st,
+                                  bool keep) {
+  san::acquire(&pool_, proxy);  // done-flag acquire: Status/payload visible
+  if (st != nullptr) *st = pool_.status(proxy);
+  if (keep) return;
   sim::advance(rc_.profile().request_pool_op);
   san::release(&pool_, proxy);  // hand the slot to the next alloc()
   pool_.free(proxy);
-  completions_.signal();  // a freed slot may unblock a pool-exhausted submit
 }
 
-ContFn OffloadChannel::take_fired(std::uint32_t proxy, smpi::Status& st) {
+void OffloadChannel::run_fired(std::uint32_t proxy, const char* span) {
   san::check_read(&cont_fns_[proxy], sizeof(ContFn), "cont.fns[slot]");
   ContFn fn = std::move(cont_fns_[proxy]);
   cont_fns_[proxy] = nullptr;
-  st = pool_.status(proxy);
   cont_.reset(proxy);
-  // A persistent request keeps its pinned slot: the callback may restart
-  // it.
-  if (proxy >= slot_persist_.size() || slot_persist_[proxy] == 0) {
-    free_slot(proxy);
+  // Free before running: the callback may post enough follow-ups to need
+  // this very slot, and the exactly-once claim already consumed it. A
+  // persistent request keeps its pinned slot: the callback may restart it.
+  const bool keep = proxy < slot_persist_.size() && slot_persist_[proxy] != 0;
+  smpi::Status st;
+  release_slot(proxy, &st, keep);
+  if (!keep) completions_.signal();
+  {
+    trace::Scope tsc(span, "offload");
+    fn(st);
   }
-  return fn;
+  // Signal again AFTER the callback: it may have set an application visible
+  // flag (cont_wait's Event), and a waiter that snapshotted the notifier
+  // mid-callback must not sleep past it.
+  completions_.signal();
 }
 
 void OffloadChannel::wait_done(std::uint32_t proxy, smpi::Status* st,
@@ -500,18 +453,16 @@ void OffloadChannel::wait_done(std::uint32_t proxy, smpi::Status* st,
     if (pool_.done(proxy)) break;
     completions_.wait_beyond(seen);
   }
-  san::acquire(&pool_, proxy);  // done-flag acquire: Status/payload visible
-  if (st != nullptr) *st = pool_.status(proxy);
-  if (!keep) free_slot(proxy);
+  release_slot(proxy, st, keep);
+  if (!keep) completions_.signal();
 }
 
 bool OffloadChannel::test_done(std::uint32_t proxy, smpi::Status* st,
                                bool keep) {
   sim::advance(rc_.profile().done_flag_check);
   if (!pool_.done(proxy)) return false;
-  san::acquire(&pool_, proxy);
-  if (st != nullptr) *st = pool_.status(proxy);
-  if (!keep) free_slot(proxy);
+  release_slot(proxy, st, keep);
+  if (!keep) completions_.signal();
   return true;
 }
 
@@ -533,14 +484,8 @@ bool OffloadChannel::attach_continuation(std::uint32_t proxy, ContFn fn) {
   // Already fired: the completion's Status/payload are visible (failed-CAS
   // acquire), so run the callback inline on this thread and free the slot.
   san::acquire(&cont_, proxy);  // completer's publish (failed-CAS acquire)
-  smpi::Status st;
-  ContFn f = take_fired(proxy, st);
   ++stats_.cont_inline;
-  {
-    trace::Scope tsc("cont:inline", "offload");
-    f(st);
-  }
-  completions_.signal();  // the callback may have set a cont_wait Event
+  run_fired(proxy, "cont:inline");
   return true;
 }
 
@@ -552,23 +497,18 @@ void OffloadChannel::shutdown() {
   // regardless of lanes: an engine keeps draining its lanes until they are
   // empty even after seeing it, and a stolen shutdown still sets the
   // channel-wide flag — every engine exits once its own share is drained.
-  for (auto& ep : engines_) {
-    Engine& e = *ep;
-    sim::LockGuard g(e.tail_line);
-    while (!e.ring.try_push(c)) sim::advance(rc_.profile().cmd_enqueue);
-    san::channel_push(&e.ring);
-  }
+  for (std::size_t e = 0; e < engines_.size(); ++e) publish(e, {&c, 1}, true);
   rc_.arrivals().signal();
 }
 
 // ------------------------------------------------------------ engine side ----
 
-OffloadChannel::Engine* OffloadChannel::engine_for_current_fiber() {
+OffloadChannel::Engine* OffloadChannel::engine_for_current_fiber() const {
   sim::Engine* eng = sim::Engine::current();
   if (eng == nullptr) return nullptr;
   const sim::Fiber* f = eng->current_fiber();
   if (f == nullptr) return nullptr;
-  for (auto& e : engines_) {
+  for (const auto& e : engines_) {
     if (e->fiber == f) return e.get();
   }
   return nullptr;
@@ -595,38 +535,7 @@ void OffloadChannel::complete_slot(Engine& e, std::uint32_t proxy,
 }
 
 void OffloadChannel::issue(Engine& e, const Command& cmd) {
-  using smpi::Datatype;
   smpi::Request real{};
-  // Ops with no (or immediate) MPI-level completion are finished inline.
-  switch (cmd.op) {
-    case CmdOp::kWinCreate:
-      *cmd.win_out = rc_.win_create(cmd.rbuf, cmd.count, cmd.comm);
-      complete_slot(e, cmd.proxy, smpi::Status{});
-      return;
-    case CmdOp::kWinFree:
-      rc_.win_free(cmd.win);
-      complete_slot(e, cmd.proxy, smpi::Status{});
-      return;
-    case CmdOp::kPut:
-      rc_.put(cmd.sbuf, cmd.count, cmd.peer, cmd.offset, cmd.win);
-      complete_slot(e, cmd.proxy, smpi::Status{});
-      return;
-    case CmdOp::kGet:
-      rc_.get(cmd.rbuf, cmd.count, cmd.peer, cmd.offset, cmd.win);
-      complete_slot(e, cmd.proxy, smpi::Status{});
-      return;
-    case CmdOp::kIfence:
-      track_inflight(e, rc_.ifence(cmd.win), cmd.proxy);
-      return;
-    case CmdOp::kStartPersistent:
-      engine_start_persistent(e, static_cast<std::uint32_t>(cmd.count));
-      return;
-    case CmdOp::kFreePersistent:
-      engine_free_persistent(e, static_cast<std::uint32_t>(cmd.count));
-      return;
-    default:
-      break;
-  }
   switch (cmd.op) {
     case CmdOp::kIsend:
       real = rc_.isend(cmd.sbuf, cmd.count, cmd.dtype, cmd.peer, cmd.tag, cmd.comm);
@@ -654,20 +563,36 @@ void OffloadChannel::issue(Engine& e, const Command& cmd) {
     case CmdOp::kIallgather:
       real = rc_.iallgather(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.comm);
       break;
-    case CmdOp::kIgather:
-      real = rc_.igather(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.peer,
-                         cmd.comm);
+    case CmdOp::kIfence:
+      real = rc_.ifence(cmd.win);
       break;
-    case CmdOp::kIscatter:
-      real = rc_.iscatter(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.peer,
-                          cmd.comm);
+    // Ops with no (or an immediate) MPI-level completion finish inline.
+    case CmdOp::kWinCreate:
+      *cmd.win_out = rc_.win_create(cmd.rbuf, cmd.count, cmd.comm);
       break;
+    case CmdOp::kWinFree:
+      rc_.win_free(cmd.win);
+      break;
+    case CmdOp::kPut:
+      rc_.put(cmd.sbuf, cmd.count, cmd.peer, cmd.offset, cmd.win);
+      break;
+    case CmdOp::kGet:
+      rc_.get(cmd.rbuf, cmd.count, cmd.peer, cmd.offset, cmd.win);
+      break;
+    case CmdOp::kStartPersistent:
+      engine_start_persistent(e, static_cast<std::uint32_t>(cmd.count));
+      return;
+    case CmdOp::kFreePersistent:
+      engine_free_persistent(e, static_cast<std::uint32_t>(cmd.count));
+      return;
     case CmdOp::kShutdown:
       throw std::logic_error("shutdown reached issue()");
-    default:  // RMA ops return from the inline-completion switch above
-      throw std::logic_error("inline-completed op fell through to issue()");
   }
-  track_inflight(e, real, cmd.proxy);
+  if (real.is_null()) {  // nothing left in flight at the MPI level
+    complete_slot(e, cmd.proxy, smpi::Status{});
+  } else {
+    track_inflight(e, real, cmd.proxy);
+  }
 }
 
 void OffloadChannel::track_inflight(Engine& e, smpi::Request real,
@@ -685,47 +610,57 @@ void OffloadChannel::track_inflight(Engine& e, smpi::Request real,
 
 // ------------------------------------------------ persistent engine side ----
 
+PersistentMpi PersistentMpi::create(smpi::RankCtx& rc, const Command& env,
+                                    std::uint32_t partitions) {
+  const bool send = env.op == CmdOp::kIsend;
+  PersistentMpi pm;
+  if (partitions == 0) {
+    pm.req = send ? rc.send_init(env.sbuf, env.count, env.dtype, env.peer,
+                                 env.tag, env.comm)
+                  : rc.recv_init(env.rbuf, env.count, env.dtype, env.peer,
+                                 env.tag, env.comm);
+    return pm;
+  }
+  const std::uint64_t bytes = env.count * smpi::datatype_size(env.dtype);
+  pm.parts.resize(partitions);
+  for (std::uint32_t p = 0; p < partitions; ++p) {
+    const int wtag = smpi::part_wire_tag(env.tag, static_cast<int>(p));
+    if (send) {
+      const auto [at, len] = smpi::part_slice(env.sbuf, bytes, partitions, p);
+      pm.parts[p] = rc.send_init(at, len, smpi::Datatype::kByte, env.peer,
+                                 wtag, env.comm);
+    } else {
+      const auto [at, len] = smpi::part_slice(env.rbuf, bytes, partitions, p);
+      pm.parts[p] = rc.recv_init(at, len, smpi::Datatype::kByte, env.peer,
+                                 wtag, env.comm);
+    }
+  }
+  return pm;
+}
+
+void PersistentMpi::release(smpi::RankCtx& rc) {
+  if (!req.is_null()) rc.request_free(req);
+  for (smpi::Request& r : parts) {
+    if (!r.is_null()) rc.request_free(r);
+  }
+  parts.clear();
+}
+
 void OffloadChannel::engine_start_persistent(Engine& e, std::uint32_t idx) {
   PersistSlot& ps = *persist_.at(idx);
   const std::uint32_t pidx = idx + 1;  // Inflight.persist tag
+  // The rc_-level persistent request(s) are created lazily on the first
+  // start (init never enters MPI from the engine); every later generation is
+  // a bare MPI_Start on the same handles.
+  if (ps.mpi.empty()) ps.mpi = PersistentMpi::create(rc_, ps.env, ps.partitions);
   if (ps.partitions == 0) {
-    // Plain persistent: the rc_-level persistent request is created lazily
-    // on the first start (init never enters MPI from the engine), then every
-    // generation is a bare MPI_Start on the same handle.
-    if (ps.mpi.is_null()) {
-      ps.mpi = ps.is_send ? rc_.send_init(ps.sbuf, ps.count, ps.dtype,
-                                          ps.peer, ps.tag, ps.comm)
-                          : rc_.recv_init(ps.rbuf, ps.count, ps.dtype,
-                                          ps.peer, ps.tag, ps.comm);
-    }
-    rc_.start(ps.mpi);
+    rc_.start(ps.mpi.req);
     ps.remaining = 1;
-    track_inflight(e, ps.mpi, ps.proxy, pidx);
+    track_inflight(e, ps.mpi.req, ps.proxy, pidx);
     return;
   }
-  // Partitioned: one rc_-level persistent request per partition, each a byte
-  // slice of the buffer under its partition wire tag (wildcard receives can
-  // never match these frames — matching.cpp rejects tag-bit-30).
-  const std::uint64_t bytes = ps.count * smpi::datatype_size(ps.dtype);
-  if (ps.parts.empty()) {
-    ps.parts.resize(ps.partitions);
-    for (std::uint32_t p = 0; p < ps.partitions; ++p) {
-      const int wtag = smpi::part_wire_tag(ps.tag, static_cast<int>(p));
-      if (ps.is_send) {
-        const auto [at, len] =
-            smpi::part_slice(ps.sbuf, bytes, ps.partitions, p);
-        ps.parts[p] = rc_.send_init(at, len, smpi::Datatype::kByte, ps.peer,
-                                    wtag, ps.comm);
-      } else {
-        const auto [at, len] =
-            smpi::part_slice(ps.rbuf, bytes, ps.partitions, p);
-        ps.parts[p] = rc_.recv_init(at, len, smpi::Datatype::kByte, ps.peer,
-                                    wtag, ps.comm);
-      }
-    }
-  }
   ps.remaining = ps.partitions;
-  if (ps.is_send) {
+  if (ps.env.op == CmdOp::kIsend) {
     // Arm only: partitions ship from pump_persistent as pready bits land,
     // which is the whole point — early partitions go to the wire while
     // sibling compute threads are still producing theirs.
@@ -749,21 +684,18 @@ void OffloadChannel::engine_start_persistent(Engine& e, std::uint32_t idx) {
   // Partitioned receive: all partitions post immediately (the receiver has
   // no readiness to wait for).
   for (std::uint32_t p = 0; p < ps.partitions; ++p) {
-    rc_.start(ps.parts[p]);
-    track_inflight(e, ps.parts[p], ps.proxy, pidx);
+    rc_.start(ps.mpi.parts[p]);
+    track_inflight(e, ps.mpi.parts[p], ps.proxy, pidx);
   }
 }
 
 void OffloadChannel::engine_free_persistent(Engine& e, std::uint32_t idx) {
   (void)e;
   PersistSlot& ps = *persist_.at(idx);
-  if (!ps.mpi.is_null()) rc_.request_free(ps.mpi);
-  for (smpi::Request& r : ps.parts) {
-    if (!r.is_null()) rc_.request_free(r);
-  }
-  ps.parts.clear();
+  ps.mpi.release(rc_);
   slot_persist_[ps.proxy] = 0;
-  free_slot(ps.proxy);
+  release_slot(ps.proxy, nullptr, false);
+  completions_.signal();
 }
 
 std::size_t OffloadChannel::partition_engine(const PersistSlot& ps,
@@ -776,26 +708,30 @@ std::size_t OffloadChannel::partition_engine(const PersistSlot& ps,
   // tags make them independent envelopes, so cross-engine issue is
   // order-safe.
   const std::uint64_t key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ps.comm.idx))
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ps.env.comm.idx))
        << 32) ^
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(ps.peer)) ^
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(ps.env.peer)) ^
       (static_cast<std::uint64_t>(p + 1) << 20);
   return static_cast<std::size_t>(mix64(key) >> 32) % n;
+}
+
+int OffloadChannel::owned_ready(const Engine& e, const PersistSlot& ps,
+                                std::size_t w) const {
+  for (std::uint64_t avail = ps.ready[w].load() & ~ps.shipped[w]; avail != 0;
+       avail &= avail - 1) {
+    const auto p = static_cast<std::uint32_t>(
+        w * 64 + static_cast<unsigned>(std::countr_zero(avail)));
+    if (partition_engine(ps, p) == e.index) return static_cast<int>(p);
+  }
+  return -1;
 }
 
 bool OffloadChannel::persistent_ready_pending(const Engine& e) const {
   if (armed_psends_ == 0) return false;
   for (const auto& psp : persist_) {
-    const PersistSlot& ps = *psp;
-    if (!ps.armed) continue;
-    for (std::size_t w = 0; w < ps.ready.size(); ++w) {
-      std::uint64_t avail = ps.ready[w].load() & ~ps.shipped[w];
-      while (avail != 0) {
-        const auto p = static_cast<std::uint32_t>(
-            w * 64 + static_cast<unsigned>(std::countr_zero(avail)));
-        if (partition_engine(ps, p) == e.index) return true;
-        avail &= avail - 1;
-      }
+    if (!psp->armed) continue;
+    for (std::size_t w = 0; w < psp->ready.size(); ++w) {
+      if (owned_ready(e, *psp, w) >= 0) return true;
     }
   }
   return false;
@@ -808,30 +744,18 @@ bool OffloadChannel::pump_persistent(Engine& e) {
     PersistSlot& ps = *persist_[i];
     if (!ps.armed) continue;  // also gates slots whose start is still queued
     for (std::size_t w = 0; w < ps.ready.size(); ++w) {
-      for (;;) {
-        // Re-read after every ship: rc_.start yields, and bits published
-        // meanwhile should go out in this same pass.
-        std::uint64_t avail = ps.ready[w].load() & ~ps.shipped[w];
-        bool shipped_one = false;
-        while (avail != 0) {
-          const auto bit = static_cast<unsigned>(std::countr_zero(avail));
-          avail &= avail - 1;
-          const auto p = static_cast<std::uint32_t>(w * 64 + bit);
-          if (partition_engine(ps, p) != e.index) continue;
-          // Shipped bit set BEFORE issuing: the issue yields, and our own
-          // next pass (or a sibling's re-check) must see the partition as
-          // taken.
-          ps.shipped[w] |= 1ull << bit;
-          trace::Scope tsc("part:ship", "offload");
-          sim::advance(rc_.profile().cmd_dequeue);
-          rc_.start(ps.parts[p]);
-          track_inflight(e, ps.parts[p], ps.proxy,
-                         static_cast<std::uint32_t>(i) + 1);
-          any = true;
-          shipped_one = true;
-          break;
-        }
-        if (!shipped_one) break;
+      // Re-read after every ship: rc_.start yields, and bits published
+      // meanwhile should go out in this same pass.
+      for (int p = owned_ready(e, ps, w); p >= 0; p = owned_ready(e, ps, w)) {
+        // Shipped bit set BEFORE issuing: the issue yields, and our own next
+        // pass (or a sibling's re-check) must see the partition as taken.
+        ps.shipped[w] |= 1ull << (p % 64);
+        trace::Scope tsc("part:ship", "offload");
+        sim::advance(rc_.profile().cmd_dequeue);
+        rc_.start(ps.mpi.parts[static_cast<std::size_t>(p)]);
+        track_inflight(e, ps.mpi.parts[static_cast<std::size_t>(p)], ps.proxy,
+                       static_cast<std::uint32_t>(i) + 1);
+        any = true;
       }
     }
   }
@@ -852,43 +776,41 @@ void OffloadChannel::process_command(Engine& e, const Command& cmd) {
   issue(e, cmd);
 }
 
+std::size_t OffloadChannel::drain_queue(Engine& e, Engine& owner, Lane* lane,
+                                        std::size_t limit, bool& shutdown) {
+  std::size_t n = 0;
+  Command cmd;
+  while (n < limit &&
+         (lane != nullptr ? lane->ring.try_pop(cmd) : owner.ring.try_pop(cmd))) {
+    ++n;
+    if (lane != nullptr) {
+      san::channel_pop(lane);  // SPSC consume: joins the producer's publish
+      ++lane->stats.drained;
+      lane->gauge.set(static_cast<double>(lane->ring.size_approx()));
+    } else {
+      san::channel_pop(&owner.ring);
+      owner.g_ring.set(static_cast<double>(owner.ring.size_approx()));
+    }
+    shutdown = shutdown || cmd.op == CmdOp::kShutdown;
+    process_command(e, cmd);
+  }
+  return n;
+}
+
 bool OffloadChannel::drain_lanes_round(Engine& e) {
-  // One round-robin pass over this engine's lane column, at most
-  // lane_drain_bound commands per lane: the fairness bound keeps a
-  // saturating lane from starving its neighbours or postponing the testany
-  // pass indefinitely. Caller holds e.claim.
-  bool any = false;
+  // The fairness bound keeps a saturating lane from starving its neighbours
+  // or postponing the testany pass indefinitely.
   const std::size_t rows = opts_.lane_count;
   if (rows == 0) return false;
-  const std::size_t n = engines_.size();
+  bool any = false;
+  bool shutdown = false;
   for (std::size_t k = 0; k < rows; ++k) {
-    Lane& lane = *lanes_[((e.drain_cursor + k) % rows) * n + e.index];
-    Command cmd;
-    std::size_t popped = 0;
-    while (popped < opts_.lane_drain_bound && lane.ring.try_pop(cmd)) {
-      san::channel_pop(&lane);  // SPSC consume: joins the producer's publish
-      ++popped;
-      ++lane.stats.drained;
-      lane.gauge.set(static_cast<double>(lane.ring.size_approx()));
-      process_command(e, cmd);
-    }
-    any = any || popped != 0;
+    Lane* lane = lanes_[((e.drain_cursor + k) % rows) * engines_.size() +
+                        e.index].get();
+    any = drain_queue(e, e, lane, opts_.lane_drain_bound, shutdown) != 0 || any;
   }
   // Rotate the starting lane so equal backlogs drain at equal rates.
   e.drain_cursor = (e.drain_cursor + 1) % rows;
-  return any;
-}
-
-bool OffloadChannel::drain_shared(Engine& e) {
-  // Caller holds e.claim.
-  bool any = false;
-  Command cmd;
-  while (e.ring.try_pop(cmd)) {
-    san::channel_pop(&e.ring);
-    any = true;
-    e.g_ring.set(static_cast<double>(e.ring.size_approx()));
-    process_command(e, cmd);
-  }
   return any;
 }
 
@@ -902,32 +824,17 @@ bool OffloadChannel::steal_round(Engine& e) {
     san::acquire(&v.claim, 0);  // previous holder's consumer-side state
     // Claim held across the WHOLE pop+issue sequence: issuing yields, and
     // releasing between pop and issue would let the owner interleave
-    // same-envelope traffic out of posted order.
-    std::size_t budget = opts_.steal_bound;
+    // same-envelope traffic out of posted order. One budget covers the
+    // victim's lanes, then its ring.
+    const std::size_t budget = opts_.steal_bound;
     std::size_t stolen = 0;
     bool took_shutdown = false;
-    Command cmd;
-    const std::size_t rows = opts_.lane_count;
-    for (std::size_t row = 0; row < rows && budget > 0; ++row) {
-      Lane& lane = *lanes_[row * n + v.index];
-      while (budget > 0 && lane.ring.try_pop(cmd)) {
-        san::channel_pop(&lane);
-        ++lane.stats.drained;
-        lane.gauge.set(static_cast<double>(lane.ring.size_approx()));
-        took_shutdown = took_shutdown || cmd.op == CmdOp::kShutdown;
-        process_command(e, cmd);
-        --budget;
-        ++stolen;
-      }
+    for (std::size_t row = 0; row < opts_.lane_count && stolen < budget;
+         ++row) {
+      stolen += drain_queue(e, v, lanes_[row * n + v.index].get(),
+                            budget - stolen, took_shutdown);
     }
-    while (budget > 0 && v.ring.try_pop(cmd)) {
-      san::channel_pop(&v.ring);
-      v.g_ring.set(static_cast<double>(v.ring.size_approx()));
-      took_shutdown = took_shutdown || cmd.op == CmdOp::kShutdown;
-      process_command(e, cmd);
-      --budget;
-      ++stolen;
-    }
+    stolen += drain_queue(e, v, nullptr, budget - stolen, took_shutdown);
     san::release(&v.claim, 0);  // hand consumer-side state to the next holder
     v.claim.release();
     if (stolen == 0) continue;
@@ -1017,18 +924,7 @@ bool OffloadChannel::run_continuations(Engine& e) {
   while (budget-- > 0 && !e.cont_ready.empty()) {
     const std::uint32_t proxy = e.cont_ready.front();
     e.cont_ready.pop_front();
-    // Free before running: the callback may post enough follow-ups to need
-    // this very slot, and the exactly-once claim already consumed it.
-    smpi::Status st;
-    ContFn fn = take_fired(proxy, st);
-    {
-      trace::Scope tsc("cont:run", "offload");
-      fn(st);
-    }
-    // Signal again AFTER the callback: it may have set an application
-    // visible flag (cont_wait's Event), and a waiter that snapshotted the
-    // notifier mid-callback must not sleep past it.
-    completions_.signal();
+    run_fired(proxy, "cont:run");
     ++stats_.cont_executed;
     any = true;
   }
@@ -1101,12 +997,21 @@ void OffloadChannel::engine_main(std::size_t idx) {
   } guard{rc_, e, self};
 
   std::uint64_t seen = rc_.arrivals().count();
+  // The one wake predicate: own backlog or ready continuations, a sibling's
+  // backlog to steal (nothing rings OUR doorbell for it), a ready partition
+  // we own, or a doorbell rung since `since`.
+  const auto has_work = [&](std::uint64_t since) {
+    return submissions_pending(e) || !e.cont_ready.empty() ||
+           steal_work_available(e) || persistent_ready_pending(e) ||
+           rc_.arrivals().count() > since;
+  };
   for (;;) {
     bool worked = false;
     if (e.claim.try_claim()) {
       san::acquire(&e.claim, 0);  // previous holder's consumer-side state
+      bool shutdown = false;
       worked = drain_lanes_round(e);
-      worked = drain_shared(e) || worked;
+      worked = drain_queue(e, e, nullptr, SIZE_MAX, shutdown) != 0 || worked;
       san::release(&e.claim, 0);
       e.claim.release();
     }
@@ -1140,15 +1045,13 @@ void OffloadChannel::engine_main(std::size_t idx) {
     for (int i = 0; i < p.engine_spin_polls && !woke; ++i) {
       ++stats_.engine_spins;
       sim::advance(p.cmd_detect);
-      woke = submissions_pending(e) || steal_work_available(e) ||
-             persistent_ready_pending(e) || rc_.arrivals().count() > seen;
+      woke = has_work(seen);
     }
     for (int i = 0; i < p.engine_yield_polls && !woke; ++i) {
       ++stats_.engine_yields;
       sim::yield();
       sim::advance(p.cmd_detect);
-      woke = submissions_pending(e) || steal_work_available(e) ||
-             persistent_ready_pending(e) || rc_.arrivals().count() > seen;
+      woke = has_work(seen);
     }
     if (woke) continue;
     ++stats_.engine_sleeps;
@@ -1162,14 +1065,10 @@ void OffloadChannel::engine_main(std::size_t idx) {
     // snapshot: armed equals the final count and the sleep never wakes. The
     // check-layer doorbell spec forces exactly that interleaving.)
     const std::uint64_t armed = rc_.arrivals().count();
-    if (submissions_pending(e) || !e.cont_ready.empty() ||
-        steal_work_available(e) || persistent_ready_pending(e)) {
-      // (persistent_ready_pending: a pready published between our pump pass
-      // and this snapshot would otherwise be stranded — its doorbell signal
-      // may already be counted in `armed`.)
-      // Own work re-checked under the armed snapshot — or a sibling still
-      // has a backlog, which nothing would ring OUR doorbell for: keep
-      // polling and retrying the steal instead of sleeping past it.
+    if (has_work(armed)) {
+      // Work re-checked under the armed snapshot (a pready published between
+      // our pump pass and this snapshot, say, whose doorbell signal may
+      // already be counted in `armed`): keep polling instead of sleeping.
       seen = armed;
       continue;
     }

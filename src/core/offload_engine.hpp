@@ -111,6 +111,22 @@ struct OffloadStats {
   std::uint64_t cont_posts = 0;     ///< commands posted from engine context
 };
 
+/// The rank-level persistent request(s) behind one persistent request: one
+/// send_init/recv_init handle for a plain request, or one byte-slice handle
+/// per partition under its partition wire tag (wildcard receives can never
+/// match those frames — matching.cpp rejects tag-bit-30). The direct
+/// backends create them at init; the offload engines on the first start.
+struct PersistentMpi {
+  smpi::Request req{};               ///< plain: the one rank-level request
+  std::vector<smpi::Request> parts;  ///< partitioned: one per partition
+
+  /// Create them for `env`, the equivalent one-shot kIsend/kIrecv command.
+  static PersistentMpi create(smpi::RankCtx& rc, const Command& env,
+                              std::uint32_t partitions);
+  [[nodiscard]] bool empty() const { return req.is_null() && parts.empty(); }
+  void release(smpi::RankCtx& rc);
+};
+
 /// Per-lane occupancy/batching counters (see OffloadChannel::lane_stats).
 struct LaneStats {
   std::uint64_t submits = 0;          ///< commands pushed (incl. batched)
@@ -170,6 +186,14 @@ class OffloadChannel {
   bool test_done(std::uint32_t proxy, smpi::Status* st = nullptr,
                  bool keep = false);
 
+  /// Consume the completion of slot `proxy`, whose done flag the caller has
+  /// seen set: acquire the flag (Status/payload visible), copy the Status
+  /// out, and — unless `keep` (a persistent request's pinned slot) — charge
+  /// the pool op and return the slot to the pool. Does not signal
+  /// completions(): a caller releasing a batch signals once for all of it
+  /// (a freed slot may unblock a pool-exhausted submit).
+  void release_slot(std::uint32_t proxy, smpi::Status* st, bool keep);
+
   /// Bind `fn` to run exactly once when `proxy` completes. Consumes the
   /// slot: the side that runs the callback frees it, so the caller must not
   /// wait on or test the slot afterwards. When the request already
@@ -186,14 +210,7 @@ class OffloadChannel {
   /// "engine is running" bit: application fibers interleaving with a
   /// blocked engine must keep taking the lane/ring path.
   [[nodiscard]] bool in_engine() const {
-    sim::Engine* eng = sim::Engine::current();
-    if (eng == nullptr) return false;
-    const sim::Fiber* f = eng->current_fiber();
-    if (f == nullptr) return false;
-    for (const auto& e : engines_) {
-      if (e->fiber == f) return true;
-    }
-    return false;
+    return engine_for_current_fiber() != nullptr;
   }
 
   /// Continuations queued but not yet run by their engine.
@@ -251,12 +268,10 @@ class OffloadChannel {
   struct Lane {
     Lane(std::size_t capacity, int rank, std::size_t index)
         : ring(capacity),
-          gauge_name("lane" + std::to_string(index) + "_occupancy"),
-          gauge(rank, gauge_name.c_str()) {}
+          gauge(rank, "lane" + std::to_string(index) + "_occupancy") {}
     SpscLane<Command> ring;
     LaneStats stats;
-    int owner_slot = -1;     ///< thread-registry slot bound to this lane row
-    std::string gauge_name;  ///< stable storage for the gauge's name
+    int owner_slot = -1;  ///< thread-registry slot bound to this lane row
     trace::Gauge gauge;
   };
 
@@ -279,22 +294,14 @@ class OffloadChannel {
   /// stable addresses, slots are never reused within a run.
   struct PersistSlot {
     // ---- envelope (init-time) ----
-    bool is_send = false;
-    const void* sbuf = nullptr;
-    void* rbuf = nullptr;
-    std::uint64_t count = 0;
-    smpi::Datatype dtype = smpi::Datatype::kByte;
-    int peer = -1;
-    int tag = 0;
-    smpi::Comm comm = smpi::kCommWorld;
+    Command env;  ///< the equivalent one-shot kIsend/kIrecv command
     std::uint32_t partitions = 0;  ///< 0 = plain persistent
     std::uint32_t proxy = 0;       ///< pool slot pinned for the lifetime
     std::size_t home_engine = 0;   ///< engine_of of the equivalent one-shot
     /// Partition-ready words, bit p%64 of word p/64 (partitioned sends).
     std::vector<PartReadyWord> ready;
     // ---- engine side ----
-    smpi::Request mpi{};               ///< plain: the rc_ persistent request
-    std::vector<smpi::Request> parts;  ///< partitioned: one per partition
+    PersistentMpi mpi;  ///< created lazily by the first start
     std::vector<std::uint64_t> shipped;  ///< mirror mask: partitions issued
     std::uint32_t remaining = 0;  ///< parts of this generation still in flight
     bool armed = false;  ///< partitioned send: generation open for shipping
@@ -310,13 +317,11 @@ class OffloadChannel {
         : index(idx),
           ring(ring_capacity),
           tail_line(rc.profile().mpsc_line_transfer),
-          ring_gauge_name(idx == 0 ? std::string("ring_occupancy")
-                                   : "ring" + std::to_string(idx) +
-                                         "_occupancy"),
-          inflight_gauge_name(idx == 0 ? std::string("inflight")
-                                       : "inflight" + std::to_string(idx)),
-          g_ring(rc.rank(), ring_gauge_name.c_str()),
-          g_inflight(rc.rank(), inflight_gauge_name.c_str()) {}
+          g_ring(rc.rank(), idx == 0 ? std::string("ring_occupancy")
+                                     : "ring" + std::to_string(idx) +
+                                           "_occupancy"),
+          g_inflight(rc.rank(), idx == 0 ? std::string("inflight")
+                                         : "inflight" + std::to_string(idx)) {}
 
     std::size_t index;
     MpscRing<Command> ring;
@@ -347,8 +352,6 @@ class OffloadChannel {
     /// fiber — other fibers interleave whenever the engine blocks. Cleared
     /// on EVERY exit path (RAII in engine_main), clean or unwinding.
     sim::Fiber* fiber = nullptr;
-    std::string ring_gauge_name;      ///< stable storage for the gauge name
-    std::string inflight_gauge_name;  ///< stable storage for the gauge name
     trace::Gauge g_ring;
     trace::Gauge g_inflight;
   };
@@ -366,34 +369,38 @@ class OffloadChannel {
   /// nullptr = shared ring; `overflow` reports WHY (true = more submitting
   /// fibers than lane rows, false = lanes disabled).
   Lane* lane_for_caller(std::size_t engine_idx, bool& overflow);
-  std::uint32_t alloc_slot();
-  /// Engine-context slot allocation: on exhaustion, drives progress (an
-  /// engine can never block on its own completions notifier).
-  std::uint32_t alloc_slot_engine(Engine& e);
+  /// Allocate a pool slot for engine `e`'s post, or for an application post
+  /// when `e` is null. On exhaustion an application fiber waits for a waiter
+  /// to free a slot; an engine drives progress instead (it can never block
+  /// on its own completions notifier).
+  std::uint32_t alloc_slot(Engine* e = nullptr);
   /// Engine-context submit: no lane/ring, no doorbell — the command issues
   /// directly on the posting engine. Used by continuations posting
   /// follow-ups.
   std::uint32_t submit_from_engine(Engine& e, Command cmd);
-  void push_lane(Lane& lane, const Command& cmd);
-  void push_shared_locked(Engine& e, const Command& cmd);
-  /// Publish `cmd` to engine `eidx` (lane if the caller has one, else the
-  /// shared ring) and ring the doorbell. The slot-allocation-free tail of
-  /// submit(): persistent starts/frees arrive here with their pool slot
-  /// already pinned.
-  void push_to_engine(std::size_t eidx, const Command& cmd);
+  /// The one publish primitive: push `cmds`, in order, onto engine `eidx`'s
+  /// queues — the caller's lane when it has one, else that engine's shared
+  /// ring (serialized on its tail line) — spinning while the queue is full.
+  /// Keeps the lane/ring occupancy and the lane/shared/overflow submit
+  /// accounting. A `control` publish (shutdown) always takes the ring and
+  /// counts as no submission. Returns the lane used, nullptr for the ring.
+  /// Does not ring the doorbell.
+  Lane* publish(std::size_t eidx, std::span<Command> cmds,
+                bool control = false);
+  /// Publish `cmd` to engine `eidx` and ring the doorbell. The
+  /// slot-allocation-free tail of submit(): persistent starts/frees arrive
+  /// here with their pool slot already pinned.
+  void push_to_engine(std::size_t eidx, Command cmd);
   /// Publish kStartPersistent/kFreePersistent for persistent slot `idx`
   /// (issued in place from engine context).
   void publish_persist(CmdOp op, std::uint32_t idx);
-  /// Return `proxy` to the pool and signal completions (a freed slot may
-  /// unblock a pool-exhausted submit).
-  void free_slot(std::uint32_t proxy);
-  /// Take the callback and Status of fired slot `proxy` and recycle its
-  /// continuation state; the slot goes back to the pool unless a persistent
-  /// request pins it.
-  ContFn take_fired(std::uint32_t proxy, smpi::Status& st);
+  /// Run the callback of fired slot `proxy` under trace span `span`,
+  /// recycling its continuation state and returning the slot to the pool
+  /// first unless a persistent request pins it.
+  void run_fired(std::uint32_t proxy, const char* span);
 
   /// The Engine owned by the calling fiber, or nullptr.
-  Engine* engine_for_current_fiber();
+  [[nodiscard]] Engine* engine_for_current_fiber() const;
 
   void issue(Engine& e, const Command& cmd);
   void track_inflight(Engine& e, smpi::Request real, std::uint32_t proxy,
@@ -412,6 +419,10 @@ class OffloadChannel {
   /// Engine `e` owns partition `p` of slot `ps`.
   [[nodiscard]] std::size_t partition_engine(const PersistSlot& ps,
                                              std::uint32_t p) const;
+  /// The lowest ready-but-unshipped partition in word `w` of `ps` that
+  /// engine `e` owns, or -1.
+  [[nodiscard]] int owned_ready(const Engine& e, const PersistSlot& ps,
+                                std::size_t w) const;
   /// A ready-but-unshipped partition owned by `e` exists: the engine must
   /// not sleep past it (pready rings the rank doorbell, and this is the
   /// matching pre-sleep re-check).
@@ -419,12 +430,18 @@ class OffloadChannel {
   /// Publish a completion: done flag, stats, doorbell — and hand the slot
   /// to the discovering engine's continuation queue when one is armed.
   void complete_slot(Engine& e, std::uint32_t proxy, const smpi::Status& st);
-  /// Queue drains. Contract: the caller holds `owner.claim` (as owner or
-  /// thief) across the whole call — pops and the issues they feed must not
-  /// interleave with another consumer of the same queues. `e` is the engine
-  /// doing the work (tracks the resulting in-flights).
+  /// The one drain primitive: pop at most `limit` commands from `lane`, or from
+  /// `owner`'s ring when `lane` is null, and issue each on `e` (the engine
+  /// doing the work, which tracks the resulting in-flights). Contract: the
+  /// caller holds `owner.claim` (as owner or thief) across the whole call —
+  /// pops and the issues they feed must not interleave with another consumer
+  /// of the same queues. Returns how many were popped; sets `shutdown` when
+  /// one of them was a shutdown.
+  std::size_t drain_queue(Engine& e, Engine& owner, Lane* lane,
+                          std::size_t limit, bool& shutdown);
+  /// One round-robin pass over `e`'s lane column, at most
+  /// ProxyOptions::lane_drain_bound commands per lane. Caller holds e.claim.
   bool drain_lanes_round(Engine& e);
-  bool drain_shared(Engine& e);
   /// One bounded steal pass: take one busy sibling's claim, drain at most
   /// ProxyOptions::steal_bound of its commands (issued as OUR in-flights),
   /// release, and re-ring the doorbell if leftovers remain.
@@ -447,13 +464,13 @@ class OffloadChannel {
   smpi::RankCtx& rc_;
   ProxyOptions opts_;
   RequestPool pool_;
-  /// The engines (unique_ptr: Engine owns the stable strings its trace
-  /// gauges point into, so Engine must not relocate).
+  /// The engines (unique_ptr: rings, claim and tail line are immovable, and
+  /// their addresses are the sanitizer's channel identities).
   std::vector<std::unique_ptr<Engine>> engines_;
   /// Sharded per-(thread, engine) submission lanes, a row-major grid:
   /// lanes_[row * engines_.size() + engine]. A submitting fiber binds a row
-  /// on first use; engine e drains column e. (unique_ptr: Lane owns the
-  /// stable string its trace gauge points into.)
+  /// on first use; engine e drains column e. (unique_ptr: a lane's address
+  /// is its sanitizer channel identity.)
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::uint32_t> lane_of_slot_;  ///< thread slot -> lane row
   std::size_t next_lane_ = 0;                ///< next unbound lane row

@@ -55,22 +55,34 @@ void Proxy::recv(void* b, std::size_t n, smpi::Datatype dt, int src, int tag,
 }
 
 void Proxy::post_batch(std::span<const BatchOp> ops, std::span<PReq> out) {
+  // The whole group is checked before any of it is posted, so a bad op can
+  // never leave a prefix on the wire (how long a prefix would otherwise
+  // depend on the approach and its flush threshold).
   if (ops.size() != out.size()) {
     throw std::invalid_argument("post_batch: ops/out span size mismatch");
   }
+  for (const BatchOp& o : ops) {
+    if (o.op != CmdOp::kIsend && o.op != CmdOp::kIrecv &&
+        o.op != CmdOp::kStartPersistent) {
+      throw std::invalid_argument(
+          "post_batch: only isend/irecv/start ops batch");
+    }
+  }
+  backend_post_batch(ops, out);
+}
+
+void Proxy::backend_post_batch(std::span<const BatchOp> ops,
+                               std::span<PReq> out) {
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const BatchOp& o = ops[i];
     if (o.op == CmdOp::kIsend) {
       out[i] = isend(o.sbuf, o.count, o.dtype, o.peer, o.tag, o.comm);
     } else if (o.op == CmdOp::kIrecv) {
       out[i] = irecv(o.rbuf, o.count, o.dtype, o.peer, o.tag, o.comm);
-    } else if (o.op == CmdOp::kStartPersistent) {
+    } else {
       PersistentReq pr{o.persist};
       start(pr);
       out[i] = PReq{};  // completion goes through the persistent handle
-    } else {
-      throw std::invalid_argument(
-          "post_batch: only isend/irecv/start ops batch");
     }
   }
 }
@@ -142,8 +154,9 @@ void validate_partitioned(int rank, const char* call, int tag,
   }
 }
 
-/// A point-to-point command: the offload proxy's one-shot submit, and the
-/// envelope every backend registers a persistent request from.
+/// A data-carrying command (point-to-point, or a collective with `peer` the
+/// root): the offload proxy's one-shot submit, and the envelope every
+/// backend registers a persistent request from.
 Command envelope(CmdOp op, const void* sbuf, void* rbuf, std::size_t n,
                  smpi::Datatype dt, int peer, int tag, smpi::Comm c) {
   Command cmd;
@@ -491,30 +504,7 @@ void DirectProxy::cont_wait(const std::function<bool()>& done) {
 
 std::uint32_t DirectProxy::backend_init(const Command& env,
                                         std::uint32_t partitions) {
-  const bool send = env.op == CmdOp::kIsend;
-  PersistentMpi pm;
-  if (partitions == 0) {
-    pm.req = send ? rc_.send_init(env.sbuf, env.count, env.dtype, env.peer,
-                                  env.tag, env.comm)
-                  : rc_.recv_init(env.rbuf, env.count, env.dtype, env.peer,
-                                  env.tag, env.comm);
-  } else {
-    const std::uint64_t bytes = env.count * smpi::datatype_size(env.dtype);
-    pm.parts.resize(partitions);
-    for (std::uint32_t p = 0; p < partitions; ++p) {
-      const int wtag = smpi::part_wire_tag(env.tag, static_cast<int>(p));
-      if (send) {
-        const auto [at, len] = smpi::part_slice(env.sbuf, bytes, partitions, p);
-        pm.parts[p] = rc_.send_init(at, len, smpi::Datatype::kByte, env.peer,
-                                    wtag, env.comm);
-      } else {
-        const auto [at, len] = smpi::part_slice(env.rbuf, bytes, partitions, p);
-        pm.parts[p] = rc_.recv_init(at, len, smpi::Datatype::kByte, env.peer,
-                                    wtag, env.comm);
-      }
-    }
-  }
-  pmpi_.push_back(std::move(pm));
+  pmpi_.push_back(PersistentMpi::create(rc_, env, partitions));
   return static_cast<std::uint32_t>(pmpi_.size() - 1);
 }
 
@@ -559,9 +549,7 @@ bool DirectProxy::backend_complete(const PersistentOp& op, bool block,
 }
 
 void DirectProxy::backend_free(const PersistentOp& op) {
-  PersistentMpi& pm = pmpi_[op.backend];
-  if (!pm.req.is_null()) rc_.request_free(pm.req);
-  for (smpi::Request& part : pm.parts) rc_.request_free(part);
+  pmpi_[op.backend].release(rc_);
 }
 
 void DirectProxy::backend_attach(const PersistentOp& op, ContFn fn) {
@@ -697,57 +685,27 @@ void OffloadProxy::waitall(std::span<PReq> rs) {
     throw std::logic_error(san::engine_block_message("OffloadProxy::waitall"));
   }
   trace::Scope tsc("wait:all", "offload");
-  const auto& p = rc_.profile();
-  RequestPool& pool = channel_.pool();
   for (;;) {
-    // One pass over the done flags per wake; the completion notifier's count
-    // is snapshotted first so a flag published mid-scan re-runs the pass
-    // instead of being slept past.
+    // One testall pass over the done flags per wake; the completion
+    // notifier's count is snapshotted first so a flag published mid-scan
+    // re-runs the pass instead of being slept past.
     const std::uint64_t seen = channel_.completions().count();
-    bool all_done = true;
-    for (const PReq& r : rs) {
-      if (r.is_null()) continue;
-      sim::advance(p.done_flag_check);
-      if (!pool.done(slot_of(r))) {
-        all_done = false;
-        break;
-      }
-    }
-    if (all_done) break;
+    if (testall(rs)) return;
     channel_.completions().wait_beyond(seen);
   }
-  for (PReq& r : rs) {
-    if (r.is_null()) continue;
-    sim::advance(p.request_pool_op);
-    san::acquire(&pool, slot_of(r));  // completer's done-flag publish
-    san::release(&pool, slot_of(r));  // hand the slot to the next alloc()
-    pool.free(slot_of(r));
-    r = PReq{};
-  }
-  channel_.completions().signal();  // freed slots may unblock a full pool
 }
 int OffloadProxy::waitany(std::span<PReq> rs, smpi::Status* st) {
   if (channel_.in_engine()) {
     throw std::logic_error(san::engine_block_message("OffloadProxy::waitany"));
   }
   trace::Scope tsc("wait:any", "offload");
-  const auto& p = rc_.profile();
-  RequestPool& pool = channel_.pool();
   for (;;) {
     const std::uint64_t seen = channel_.completions().count();
     bool any_active = false;
     for (std::size_t i = 0; i < rs.size(); ++i) {
       if (rs[i].is_null()) continue;
       any_active = true;
-      sim::advance(p.done_flag_check);
-      const std::uint32_t slot = slot_of(rs[i]);
-      if (!pool.done(slot)) continue;
-      san::acquire(&pool, slot);
-      if (st != nullptr) *st = pool.status(slot);
-      sim::advance(p.request_pool_op);
-      san::release(&pool, slot);
-      pool.free(slot);
-      channel_.completions().signal();
+      if (!channel_.test_done(slot_of(rs[i]), st)) continue;
       rs[i] = PReq{};
       return static_cast<int>(i);
     }
@@ -757,7 +715,7 @@ int OffloadProxy::waitany(std::span<PReq> rs, smpi::Status* st) {
 }
 bool OffloadProxy::testall(std::span<PReq> rs) {
   const auto& p = rc_.profile();
-  RequestPool& pool = channel_.pool();
+  const RequestPool& pool = channel_.pool();
   // Single pass over the done flags; release only if every one is set.
   for (const PReq& r : rs) {
     if (r.is_null()) continue;
@@ -767,27 +725,21 @@ bool OffloadProxy::testall(std::span<PReq> rs) {
   bool freed = false;
   for (PReq& r : rs) {
     if (r.is_null()) continue;
-    sim::advance(p.request_pool_op);
-    san::acquire(&pool, slot_of(r));
-    san::release(&pool, slot_of(r));
-    pool.free(slot_of(r));
+    channel_.release_slot(slot_of(r), nullptr, false);
     r = PReq{};
     freed = true;
   }
   if (freed) channel_.completions().signal();
   return true;
 }
-void OffloadProxy::post_batch(std::span<const BatchOp> ops,
-                              std::span<PReq> out) {
-  if (ops.size() != out.size()) {
-    throw std::invalid_argument("post_batch: ops/out span size mismatch");
-  }
+void OffloadProxy::backend_post_batch(std::span<const BatchOp> ops,
+                                      std::span<PReq> out) {
   for (const BatchOp& o : ops) {
     if (o.op == CmdOp::kStartPersistent) {
       // Persistent starts carry a pre-pinned pool slot and a different
       // command shape than the alloc-as-you-publish batch path — post mixed
       // groups element-wise (each start is already the cheap re-arm form).
-      Proxy::post_batch(ops, out);
+      Proxy::backend_post_batch(ops, out);
       return;
     }
   }
@@ -802,9 +754,6 @@ void OffloadProxy::post_batch(std::span<const BatchOp> ops,
     scratch.clear();
     for (std::size_t i = 0; i < n; ++i) {
       const BatchOp& o = ops[base + i];
-      if (o.op != CmdOp::kIsend && o.op != CmdOp::kIrecv) {
-        throw std::invalid_argument("post_batch: only isend/irecv ops batch");
-      }
       scratch.push_back(envelope(o.op, o.sbuf, o.rbuf, o.count, o.dtype,
                                  o.peer, o.tag, o.comm));
     }
@@ -819,52 +768,31 @@ PReq OffloadProxy::ibarrier(smpi::Comm c) {
 }
 PReq OffloadProxy::ibcast(void* b, std::size_t n, smpi::Datatype dt, int root,
                           smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kIbcast, c);
-  cmd.rbuf = b;
-  cmd.count = n;
-  cmd.dtype = dt;
-  cmd.peer = root;
-  return preq_of(channel_.submit(cmd));
+  return preq_of(channel_.submit(
+      envelope(CmdOp::kIbcast, nullptr, b, n, dt, root, 0, c)));
 }
 PReq OffloadProxy::ireduce(const void* s, void* r, std::size_t n,
                            smpi::Datatype dt, smpi::Op op, int root,
                            smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kIreduce, c);
-  cmd.sbuf = s;
-  cmd.rbuf = r;
-  cmd.count = n;
-  cmd.dtype = dt;
+  Command cmd = envelope(CmdOp::kIreduce, s, r, n, dt, root, 0, c);
   cmd.rop = op;
-  cmd.peer = root;
   return preq_of(channel_.submit(cmd));
 }
 PReq OffloadProxy::iallreduce(const void* s, void* r, std::size_t n,
                               smpi::Datatype dt, smpi::Op op, smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kIallreduce, c);
-  cmd.sbuf = s;
-  cmd.rbuf = r;
-  cmd.count = n;
-  cmd.dtype = dt;
+  Command cmd = envelope(CmdOp::kIallreduce, s, r, n, dt, -1, 0, c);
   cmd.rop = op;
   return preq_of(channel_.submit(cmd));
 }
 PReq OffloadProxy::ialltoall(const void* s, void* r, std::size_t n_per,
                              smpi::Datatype dt, smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kIalltoall, c);
-  cmd.sbuf = s;
-  cmd.rbuf = r;
-  cmd.count = n_per;
-  cmd.dtype = dt;
-  return preq_of(channel_.submit(cmd));
+  return preq_of(channel_.submit(
+      envelope(CmdOp::kIalltoall, s, r, n_per, dt, -1, 0, c)));
 }
 PReq OffloadProxy::iallgather(const void* s, void* r, std::size_t n_per,
                               smpi::Datatype dt, smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kIallgather, c);
-  cmd.sbuf = s;
-  cmd.rbuf = r;
-  cmd.count = n_per;
-  cmd.dtype = dt;
-  return preq_of(channel_.submit(cmd));
+  return preq_of(channel_.submit(
+      envelope(CmdOp::kIallgather, s, r, n_per, dt, -1, 0, c)));
 }
 
 // Persistent backend: the channel keeps the mechanics (pinned pool slot,

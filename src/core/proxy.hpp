@@ -143,11 +143,13 @@ class Proxy {
                     smpi::Comm c = smpi::kCommWorld, smpi::Status* st = nullptr);
 
   /// Post a group of nonblocking point-to-point operations; `out[i]`
-  /// receives the request for `ops[i]` (spans must be the same length). The
-  /// default posts one at a time; the offload proxy serializes whole chunks
-  /// into its submission lane with one publish and one doorbell each
-  /// (ProxyOptions::batch_flush commands per chunk).
-  virtual void post_batch(std::span<const BatchOp> ops, std::span<PReq> out);
+  /// receives the request for `ops[i]` (spans must be the same length).
+  /// Every op is validated before any is posted: a bad group throws with
+  /// nothing on the wire and `out` untouched. The default posts one at a
+  /// time; the offload proxy serializes whole chunks into its submission
+  /// lane with one publish and one doorbell each (ProxyOptions::batch_flush
+  /// commands per chunk).
+  void post_batch(std::span<const BatchOp> ops, std::span<PReq> out);
 
   // ---- persistent & partitioned point-to-point (MPI-4 style) ----
   // init-once/start-many: the envelope is registered once, then each
@@ -316,6 +318,10 @@ class Proxy {
     }
   };
 
+  /// Post a validated post_batch group (the default: one op at a time).
+  virtual void backend_post_batch(std::span<const BatchOp> ops,
+                                  std::span<PReq> out);
+
   // ---- persistent backend hooks ----
   // Called only once the front end has validated the call and updated the
   // record; they carry the approach's mechanics and no legality checks.
@@ -422,10 +428,6 @@ class DirectProxy : public Proxy {
   bool pumping_ = false;
   /// The rc_-level requests behind each persistent request, by backend id
   /// (deque: rc_.wait takes the handle by reference across yields).
-  struct PersistentMpi {
-    smpi::Request req{};               ///< plain: the one rc_ request
-    std::vector<smpi::Request> parts;  ///< partitioned: per partition
-  };
   std::deque<PersistentMpi> pmpi_;
 };
 
@@ -487,7 +489,6 @@ class OffloadProxy : public Proxy {
              smpi::Comm c = smpi::kCommWorld) override;
   PReq irecv(void* b, std::size_t n, smpi::Datatype dt, int src, int tag,
              smpi::Comm c = smpi::kCommWorld) override;
-  void post_batch(std::span<const BatchOp> ops, std::span<PReq> out) override;
   void wait(PReq& r, smpi::Status* st = nullptr) override;
   bool test(PReq& r, smpi::Status* st = nullptr) override;
   /// Tuned completion surface: one pass over the pool's done flags per wake,
@@ -514,6 +515,8 @@ class OffloadProxy : public Proxy {
   void cont_wait(const std::function<bool()>& done) override;
 
  protected:
+  void backend_post_batch(std::span<const BatchOp> ops,
+                          std::span<PReq> out) override;
   // Persistent backend: the channel's PersistSlots. A start publishes one
   // cheap kStartPersistent command; a shipped partition sets a ready bit
   // the engines poll (early-partition shipping).

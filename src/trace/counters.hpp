@@ -6,8 +6,12 @@
 // Both keep their live value even while tracing is disabled (reads are free
 // and tests/stat trailers use them); they only *emit* a counter sample when
 // the tracer is enabled, so the disabled cost is an add/store plus the usual
-// one-branch check.
+// one-branch check. Each handle owns its series name (the tracer copies it
+// into every sample anyway), so callers may build names on the fly.
 #pragma once
+
+#include <string>
+#include <utility>
 
 #include "trace/scope.hpp"
 #include "trace/tracer.hpp"
@@ -16,7 +20,7 @@ namespace trace {
 
 class Counter {
  public:
-  Counter(int pid, const char* name) : pid_(pid), name_(name) {}
+  Counter(int pid, std::string name) : pid_(pid), name_(std::move(name)) {}
 
   void add(double d = 1) {
     value_ += d;
@@ -25,17 +29,17 @@ class Counter {
   }
 
   [[nodiscard]] double value() const { return value_; }
-  [[nodiscard]] const char* name() const { return name_; }
+  [[nodiscard]] const std::string& name() const { return name_; }
 
  private:
   int pid_;
-  const char* name_;
+  std::string name_;
   double value_ = 0;
 };
 
 class Gauge {
  public:
-  Gauge(int pid, const char* name) : pid_(pid), name_(name) {}
+  Gauge(int pid, std::string name) : pid_(pid), name_(std::move(name)) {}
 
   void set(double v) {
     value_ = v;
@@ -44,11 +48,11 @@ class Gauge {
   }
 
   [[nodiscard]] double value() const { return value_; }
-  [[nodiscard]] const char* name() const { return name_; }
+  [[nodiscard]] const std::string& name() const { return name_; }
 
  private:
   int pid_;
-  const char* name_;
+  std::string name_;
   double value_ = 0;
 };
 

@@ -2,6 +2,7 @@
 // code must produce identical data under every proxy (only timing differs).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "core/proxy.hpp"
@@ -106,6 +107,45 @@ TEST_P(ProxyMatrix, ComputeThreadAccounting) {
                            : cores;
     EXPECT_EQ(p->compute_threads(cores), expect);
     (void)rc;
+  });
+}
+
+TEST_P(ProxyMatrix, PostBatchRejectsBadGroupBeforePostingAny) {
+  // Nine valid sends and then one op that cannot batch: the whole group is
+  // rejected up front, whatever the approach or its flush threshold — no
+  // prefix of it may reach the peer, and no handle comes back.
+  const Approach a = GetParam();
+  Cluster c(cfg_for(a, 2));
+  c.run([&](RankCtx& rc) {
+    auto p = make_proxy(a, rc, ProxyOptions{.batch_flush = 8});
+    p->start_engine();
+    int vals[9] = {};
+    if (rc.rank() == 0) {
+      std::vector<BatchOp> ops;
+      for (int& v : vals) ops.push_back(BatchOp::isend(&v, 1, Datatype::kInt, 1, 7));
+      BatchOp bad = BatchOp::isend(&vals[0], 1, Datatype::kInt, 1, 7);
+      bad.op = CmdOp::kIbarrier;
+      ops.push_back(bad);
+      std::vector<PReq> out(ops.size());
+      try {
+        p->post_batch(ops, out);
+        ADD_FAILURE() << "post_batch accepted a non-batchable op";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_STREQ(e.what(), "post_batch: only isend/irecv/start ops batch");
+      }
+      for (const PReq& r : out) EXPECT_TRUE(r.is_null());
+      int sentinel = 42;
+      p->send(&sentinel, 1, Datatype::kInt, 1, 99);
+    } else {
+      // Non-overtaking: had any batched send gone out, it would match first.
+      int got = 0;
+      Status st;
+      p->recv(&got, 1, Datatype::kInt, 0, kAnyTag, kCommWorld, &st);
+      EXPECT_EQ(st.tag, 99);
+      EXPECT_EQ(got, 42);
+    }
+    p->barrier();
+    p->stop();
   });
 }
 
