@@ -1,8 +1,12 @@
-// Serialized MPI-call commands exchanged through the MPSC ring.
+// Command — the one description of an MPI call on all four approaches.
+// Proxy's front end builds every op as a Command and issue_call turns it into
+// the rank call: on the calling thread for the direct approaches, from the
+// engine fiber after the ring or lane hand-off under offload.
 #pragma once
 
 #include <cstdint>
 
+#include "mpi/rank_ctx.hpp"
 #include "mpi/types.hpp"
 
 namespace core {
@@ -75,5 +79,10 @@ struct Command {
   smpi::Win* win_out = nullptr;  ///< result slot for kWinCreate
   std::uint64_t offset = 0;      ///< target window offset
 };
+
+/// Make the MPI call `cmd` describes on `rc`. Returns its request, or a null
+/// request for ops that finish inline (window management, put, get). Throws
+/// std::logic_error on the channel's own ops (shutdown, persistent start/free).
+smpi::Request issue_call(smpi::RankCtx& rc, const Command& cmd);
 
 }  // namespace core

@@ -534,60 +534,62 @@ void OffloadChannel::complete_slot(Engine& e, std::uint32_t proxy,
   }
 }
 
-void OffloadChannel::issue(Engine& e, const Command& cmd) {
-  smpi::Request real{};
+smpi::Request issue_call(smpi::RankCtx& rc, const Command& cmd) {
   switch (cmd.op) {
     case CmdOp::kIsend:
-      real = rc_.isend(cmd.sbuf, cmd.count, cmd.dtype, cmd.peer, cmd.tag, cmd.comm);
-      break;
+      return rc.isend(cmd.sbuf, cmd.count, cmd.dtype, cmd.peer, cmd.tag,
+                      cmd.comm);
     case CmdOp::kIrecv:
-      real = rc_.irecv(cmd.rbuf, cmd.count, cmd.dtype, cmd.peer, cmd.tag, cmd.comm);
-      break;
+      return rc.irecv(cmd.rbuf, cmd.count, cmd.dtype, cmd.peer, cmd.tag,
+                      cmd.comm);
     case CmdOp::kIbarrier:
-      real = rc_.ibarrier(cmd.comm);
-      break;
+      return rc.ibarrier(cmd.comm);
     case CmdOp::kIbcast:
-      real = rc_.ibcast(cmd.rbuf, cmd.count, cmd.dtype, cmd.peer, cmd.comm);
-      break;
+      return rc.ibcast(cmd.rbuf, cmd.count, cmd.dtype, cmd.peer, cmd.comm);
     case CmdOp::kIreduce:
-      real = rc_.ireduce(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.rop,
-                         cmd.peer, cmd.comm);
-      break;
+      return rc.ireduce(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.rop,
+                        cmd.peer, cmd.comm);
     case CmdOp::kIallreduce:
-      real = rc_.iallreduce(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.rop,
-                            cmd.comm);
-      break;
+      return rc.iallreduce(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.rop,
+                           cmd.comm);
     case CmdOp::kIalltoall:
-      real = rc_.ialltoall(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.comm);
-      break;
+      return rc.ialltoall(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.comm);
     case CmdOp::kIallgather:
-      real = rc_.iallgather(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.comm);
-      break;
+      return rc.iallgather(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.comm);
     case CmdOp::kIfence:
-      real = rc_.ifence(cmd.win);
-      break;
+      return rc.ifence(cmd.win);
     // Ops with no (or an immediate) MPI-level completion finish inline.
     case CmdOp::kWinCreate:
-      *cmd.win_out = rc_.win_create(cmd.rbuf, cmd.count, cmd.comm);
-      break;
+      *cmd.win_out = rc.win_create(cmd.rbuf, cmd.count, cmd.comm);
+      return {};
     case CmdOp::kWinFree:
-      rc_.win_free(cmd.win);
-      break;
+      rc.win_free(cmd.win);
+      return {};
     case CmdOp::kPut:
-      rc_.put(cmd.sbuf, cmd.count, cmd.peer, cmd.offset, cmd.win);
-      break;
+      rc.put(cmd.sbuf, cmd.count, cmd.peer, cmd.offset, cmd.win);
+      return {};
     case CmdOp::kGet:
-      rc_.get(cmd.rbuf, cmd.count, cmd.peer, cmd.offset, cmd.win);
-      break;
-    case CmdOp::kStartPersistent:
-      engine_start_persistent(e, static_cast<std::uint32_t>(cmd.count));
-      return;
-    case CmdOp::kFreePersistent:
-      engine_free_persistent(e, static_cast<std::uint32_t>(cmd.count));
-      return;
+      rc.get(cmd.rbuf, cmd.count, cmd.peer, cmd.offset, cmd.win);
+      return {};
     case CmdOp::kShutdown:
-      throw std::logic_error("shutdown reached issue()");
+    case CmdOp::kStartPersistent:
+    case CmdOp::kFreePersistent:
+      break;
   }
+  throw std::logic_error(std::string("issue_call: ") + cmd_op_name(cmd.op) +
+                         " is no MPI call");
+}
+
+void OffloadChannel::issue(Engine& e, const Command& cmd) {
+  if (cmd.op == CmdOp::kStartPersistent) {
+    engine_start_persistent(e, static_cast<std::uint32_t>(cmd.count));
+    return;
+  }
+  if (cmd.op == CmdOp::kFreePersistent) {
+    engine_free_persistent(e, static_cast<std::uint32_t>(cmd.count));
+    return;
+  }
+  const smpi::Request real = issue_call(rc_, cmd);
   if (real.is_null()) {  // nothing left in flight at the MPI level
     complete_slot(e, cmd.proxy, smpi::Status{});
   } else {

@@ -87,10 +87,6 @@ void Proxy::backend_post_batch(std::span<const BatchOp> ops,
   }
 }
 
-void Proxy::waitall(std::span<PReq> rs) {
-  for (PReq& r : rs) wait(r);
-}
-
 void Proxy::barrier(smpi::Comm c) {
   PReq r = ibarrier(c);
   wait(r);
@@ -154,8 +150,8 @@ void validate_partitioned(int rank, const char* call, int tag,
   }
 }
 
-/// A data-carrying command (point-to-point, or a collective with `peer` the
-/// root): the offload proxy's one-shot submit, and the envelope every
+/// A data-carrying command (`peer` is the destination, source, root or RMA
+/// target): every one-shot op that moves data, and the envelope every
 /// backend registers a persistent request from.
 Command envelope(CmdOp op, const void* sbuf, void* rbuf, std::size_t n,
                  smpi::Datatype dt, int peer, int tag, smpi::Comm c) {
@@ -351,34 +347,110 @@ void Proxy::attach_continuation(PersistentReq& r, ContFn fn) {
   });
 }
 
-smpi::Win Proxy::win_create(void* base, std::size_t bytes, smpi::Comm c) {
-  return rc_.win_create(base, bytes, c);
+// ---------------------------------------------------- one-shot front end ----
+// Every one-shot MPI op is built here, once, as a Command; backend_submit
+// issues it on the approach underneath.
+
+PReq Proxy::isend(const void* b, std::size_t n, smpi::Datatype dt, int dst,
+                  int tag, smpi::Comm c) {
+  return backend_submit(
+      envelope(CmdOp::kIsend, b, nullptr, n, dt, dst, tag, c));
 }
-void Proxy::win_free(smpi::Win w) { rc_.win_free(w); }
+PReq Proxy::irecv(void* b, std::size_t n, smpi::Datatype dt, int src, int tag,
+                  smpi::Comm c) {
+  return backend_submit(
+      envelope(CmdOp::kIrecv, nullptr, b, n, dt, src, tag, c));
+}
+PReq Proxy::ibarrier(smpi::Comm c) {
+  return backend_submit({.op = CmdOp::kIbarrier, .comm = c});
+}
+PReq Proxy::ibcast(void* b, std::size_t n, smpi::Datatype dt, int root,
+                   smpi::Comm c) {
+  return backend_submit(
+      envelope(CmdOp::kIbcast, nullptr, b, n, dt, root, 0, c));
+}
+PReq Proxy::ireduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
+                    smpi::Op op, int root, smpi::Comm c) {
+  Command cmd = envelope(CmdOp::kIreduce, s, r, n, dt, root, 0, c);
+  cmd.rop = op;
+  return backend_submit(cmd);
+}
+PReq Proxy::iallreduce(const void* s, void* r, std::size_t n,
+                       smpi::Datatype dt, smpi::Op op, smpi::Comm c) {
+  Command cmd = envelope(CmdOp::kIallreduce, s, r, n, dt, -1, 0, c);
+  cmd.rop = op;
+  return backend_submit(cmd);
+}
+PReq Proxy::ialltoall(const void* s, void* r, std::size_t n_per,
+                      smpi::Datatype dt, smpi::Comm c) {
+  return backend_submit(envelope(CmdOp::kIalltoall, s, r, n_per, dt, -1, 0, c));
+}
+PReq Proxy::iallgather(const void* s, void* r, std::size_t n_per,
+                       smpi::Datatype dt, smpi::Comm c) {
+  return backend_submit(
+      envelope(CmdOp::kIallgather, s, r, n_per, dt, -1, 0, c));
+}
+
+void Proxy::submit_and_wait(const Command& cmd) {
+  // A null handle is never waited on: a direct wait would still enter MPI
+  // and pay its entry cost.
+  PReq r = backend_submit(cmd);
+  if (!r.is_null()) wait(r);
+}
+
+smpi::Win Proxy::win_create(void* base, std::size_t bytes, smpi::Comm c) {
+  Command cmd = envelope(CmdOp::kWinCreate, nullptr, base, bytes,
+                         smpi::Datatype::kByte, -1, 0, c);
+  smpi::Win out;
+  cmd.win_out = &out;
+  submit_and_wait(cmd);
+  return out;
+}
+void Proxy::win_free(smpi::Win w) {
+  submit_and_wait({.op = CmdOp::kWinFree, .win = w});
+}
 void Proxy::put(const void* origin, std::size_t bytes, int target,
                 std::size_t target_offset, smpi::Win w) {
-  rc_.put(origin, bytes, target, target_offset, w);
+  // Fire-and-forget at the MPI level: the op completes as soon as the put is
+  // injected; remote completion is the fence's job.
+  Command cmd = envelope(CmdOp::kPut, origin, nullptr, bytes,
+                         smpi::Datatype::kByte, target, 0, smpi::kCommWorld);
+  cmd.win = w;
+  cmd.offset = target_offset;
+  submit_and_wait(cmd);
 }
 void Proxy::get(void* origin, std::size_t bytes, int target,
                 std::size_t target_offset, smpi::Win w) {
-  rc_.get(origin, bytes, target, target_offset, w);
+  Command cmd = envelope(CmdOp::kGet, nullptr, origin, bytes,
+                         smpi::Datatype::kByte, target, 0, smpi::kCommWorld);
+  cmd.win = w;
+  cmd.offset = target_offset;
+  submit_and_wait(cmd);
 }
-void Proxy::fence(smpi::Win w) { rc_.win_fence(w); }
+void Proxy::fence(smpi::Win w) {
+  submit_and_wait({.op = CmdOp::kIfence, .win = w});
+}
 
 // ------------------------------------------------------------ DirectProxy ----
 
 namespace {
 PReq wrap(smpi::Request r) { return PReq{static_cast<std::uint64_t>(r.idx)}; }
 smpi::Request unwrap(PReq r) { return smpi::Request{static_cast<int>(r.v)}; }
+
+/// Run `f` on the rc_-level requests behind `rs`, then write them back
+/// (completion nulls the entries it releases).
+template <typename F>
+auto on_requests(std::span<PReq> rs, F f) {
+  std::vector<smpi::Request> reqs(rs.size());
+  std::transform(rs.begin(), rs.end(), reqs.begin(), unwrap);
+  const auto result = f(std::span<smpi::Request>(reqs));
+  std::transform(reqs.begin(), reqs.end(), rs.begin(), wrap);
+  return result;
+}
 }  // namespace
 
-PReq DirectProxy::isend(const void* b, std::size_t n, smpi::Datatype dt,
-                        int dst, int tag, smpi::Comm c) {
-  return wrap(rc_.isend(b, n, dt, dst, tag, c));
-}
-PReq DirectProxy::irecv(void* b, std::size_t n, smpi::Datatype dt, int src,
-                        int tag, smpi::Comm c) {
-  return wrap(rc_.irecv(b, n, dt, src, tag, c));
+PReq DirectProxy::backend_submit(const Command& cmd) {
+  return wrap(issue_call(rc_, cmd));
 }
 void DirectProxy::wait(PReq& r, smpi::Status* st) {
   smpi::Request rq = unwrap(r);
@@ -393,51 +465,20 @@ bool DirectProxy::test(PReq& r, smpi::Status* st) {
 }
 void DirectProxy::waitall(std::span<PReq> rs) {
   if (rs.empty()) return;  // MPI_Waitall(0, ...) is a no-op
-  std::vector<smpi::Request> reqs;
-  reqs.reserve(rs.size());
-  for (PReq r : rs) reqs.push_back(unwrap(r));
-  rc_.waitall(reqs);
-  for (std::size_t i = 0; i < rs.size(); ++i) rs[i] = wrap(reqs[i]);
+  on_requests(rs, [&](std::span<smpi::Request> q) {
+    rc_.waitall(q);
+    return true;
+  });
 }
 int DirectProxy::waitany(std::span<PReq> rs, smpi::Status* st) {
   if (rs.empty()) return -1;  // MPI_UNDEFINED for an empty list
-  std::vector<smpi::Request> reqs;
-  reqs.reserve(rs.size());
-  for (PReq r : rs) reqs.push_back(unwrap(r));
-  const int idx = rc_.waitany(reqs, st);
-  for (std::size_t i = 0; i < rs.size(); ++i) rs[i] = wrap(reqs[i]);
-  return idx;
+  return on_requests(
+      rs, [&](std::span<smpi::Request> q) { return rc_.waitany(q, st); });
 }
 bool DirectProxy::testall(std::span<PReq> rs) {
   if (rs.empty()) return true;  // MPI_Testall(0, ...) sets flag = true
-  std::vector<smpi::Request> reqs;
-  reqs.reserve(rs.size());
-  for (PReq r : rs) reqs.push_back(unwrap(r));
-  const bool done = rc_.testall(reqs);
-  for (std::size_t i = 0; i < rs.size(); ++i) rs[i] = wrap(reqs[i]);
-  return done;
-}
-PReq DirectProxy::ibarrier(smpi::Comm c) { return wrap(rc_.ibarrier(c)); }
-PReq DirectProxy::ibcast(void* b, std::size_t n, smpi::Datatype dt, int root,
-                         smpi::Comm c) {
-  return wrap(rc_.ibcast(b, n, dt, root, c));
-}
-PReq DirectProxy::ireduce(const void* s, void* r, std::size_t n,
-                          smpi::Datatype dt, smpi::Op op, int root,
-                          smpi::Comm c) {
-  return wrap(rc_.ireduce(s, r, n, dt, op, root, c));
-}
-PReq DirectProxy::iallreduce(const void* s, void* r, std::size_t n,
-                             smpi::Datatype dt, smpi::Op op, smpi::Comm c) {
-  return wrap(rc_.iallreduce(s, r, n, dt, op, c));
-}
-PReq DirectProxy::ialltoall(const void* s, void* r, std::size_t n_per,
-                            smpi::Datatype dt, smpi::Comm c) {
-  return wrap(rc_.ialltoall(s, r, n_per, dt, c));
-}
-PReq DirectProxy::iallgather(const void* s, void* r, std::size_t n_per,
-                             smpi::Datatype dt, smpi::Comm c) {
-  return wrap(rc_.iallgather(s, r, n_per, dt, c));
+  return on_requests(
+      rs, [&](std::span<smpi::Request> q) { return rc_.testall(q); });
 }
 
 void DirectProxy::attach_continuation(PReq& r, ContFn fn) {
@@ -544,7 +585,6 @@ bool DirectProxy::backend_complete(const PersistentOp& op, bool block,
   } else if (!rc_.testall(copies)) {
     return false;
   }
-  st->source = op.peer;
   return true;
 }
 
@@ -562,12 +602,10 @@ void DirectProxy::backend_attach(const PersistentOp& op, ContFn fn) {
   // When-all over the partitions' one-shot continuations.
   auto remaining = std::make_shared<std::uint32_t>(op.partitions);
   auto cb = std::make_shared<ContFn>(std::move(fn));
-  smpi::Status whole;
-  whole.source = op.peer;
   for (const smpi::Request part : pm.parts) {
     PReq pr = wrap(part);
-    attach_continuation(pr, [remaining, cb, whole](const smpi::Status&) {
-      if (--*remaining == 0) (*cb)(whole);
+    attach_continuation(pr, [remaining, cb](const smpi::Status&) {
+      if (--*remaining == 0) (*cb)(smpi::Status{});
     });
   }
 }
@@ -649,24 +687,8 @@ void OffloadProxy::stop() {
   }
 }
 
-namespace {
-Command base_cmd(CmdOp op, smpi::Comm c) {
-  Command cmd;
-  cmd.op = op;
-  cmd.comm = c;
-  return cmd;
-}
-}  // namespace
-
-PReq OffloadProxy::isend(const void* b, std::size_t n, smpi::Datatype dt,
-                         int dst, int tag, smpi::Comm c) {
-  return preq_of(channel_.submit(
-      envelope(CmdOp::kIsend, b, nullptr, n, dt, dst, tag, c)));
-}
-PReq OffloadProxy::irecv(void* b, std::size_t n, smpi::Datatype dt, int src,
-                         int tag, smpi::Comm c) {
-  return preq_of(channel_.submit(
-      envelope(CmdOp::kIrecv, nullptr, b, n, dt, src, tag, c)));
+PReq OffloadProxy::backend_submit(const Command& cmd) {
+  return preq_of(channel_.submit(cmd));
 }
 void OffloadProxy::wait(PReq& r, smpi::Status* st) {
   if (r.is_null()) return;
@@ -763,38 +785,6 @@ void OffloadProxy::backend_post_batch(std::span<const BatchOp> ops,
     }
   }
 }
-PReq OffloadProxy::ibarrier(smpi::Comm c) {
-  return preq_of(channel_.submit(base_cmd(CmdOp::kIbarrier, c)));
-}
-PReq OffloadProxy::ibcast(void* b, std::size_t n, smpi::Datatype dt, int root,
-                          smpi::Comm c) {
-  return preq_of(channel_.submit(
-      envelope(CmdOp::kIbcast, nullptr, b, n, dt, root, 0, c)));
-}
-PReq OffloadProxy::ireduce(const void* s, void* r, std::size_t n,
-                           smpi::Datatype dt, smpi::Op op, int root,
-                           smpi::Comm c) {
-  Command cmd = envelope(CmdOp::kIreduce, s, r, n, dt, root, 0, c);
-  cmd.rop = op;
-  return preq_of(channel_.submit(cmd));
-}
-PReq OffloadProxy::iallreduce(const void* s, void* r, std::size_t n,
-                              smpi::Datatype dt, smpi::Op op, smpi::Comm c) {
-  Command cmd = envelope(CmdOp::kIallreduce, s, r, n, dt, -1, 0, c);
-  cmd.rop = op;
-  return preq_of(channel_.submit(cmd));
-}
-PReq OffloadProxy::ialltoall(const void* s, void* r, std::size_t n_per,
-                             smpi::Datatype dt, smpi::Comm c) {
-  return preq_of(channel_.submit(
-      envelope(CmdOp::kIalltoall, s, r, n_per, dt, -1, 0, c)));
-}
-PReq OffloadProxy::iallgather(const void* s, void* r, std::size_t n_per,
-                              smpi::Datatype dt, smpi::Comm c) {
-  return preq_of(channel_.submit(
-      envelope(CmdOp::kIallgather, s, r, n_per, dt, -1, 0, c)));
-}
-
 // Persistent backend: the channel keeps the mechanics (pinned pool slot,
 // kStartPersistent/kFreePersistent publish, ready words, engine side).
 
@@ -849,48 +839,6 @@ void OffloadProxy::cont_wait(const std::function<bool()>& done) {
     if (done()) break;
     channel_.completions().wait_beyond(seen);
   }
-}
-
-smpi::Win OffloadProxy::win_create(void* base, std::size_t bytes, smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kWinCreate, c);
-  cmd.rbuf = base;
-  cmd.count = bytes;
-  smpi::Win out;
-  cmd.win_out = &out;
-  channel_.wait_done(channel_.submit(cmd));
-  return out;
-}
-void OffloadProxy::win_free(smpi::Win w) {
-  Command cmd = base_cmd(CmdOp::kWinFree, smpi::kCommWorld);
-  cmd.win = w;
-  channel_.wait_done(channel_.submit(cmd));
-}
-void OffloadProxy::put(const void* origin, std::size_t bytes, int target,
-                       std::size_t target_offset, smpi::Win w) {
-  Command cmd = base_cmd(CmdOp::kPut, smpi::kCommWorld);
-  cmd.sbuf = origin;
-  cmd.count = bytes;
-  cmd.peer = target;
-  cmd.offset = target_offset;
-  cmd.win = w;
-  // Fire-and-forget at the MPI level: the engine completes the proxy slot as
-  // soon as the put is injected; remote completion is the fence's job.
-  channel_.wait_done(channel_.submit(cmd));
-}
-void OffloadProxy::get(void* origin, std::size_t bytes, int target,
-                       std::size_t target_offset, smpi::Win w) {
-  Command cmd = base_cmd(CmdOp::kGet, smpi::kCommWorld);
-  cmd.rbuf = origin;
-  cmd.count = bytes;
-  cmd.peer = target;
-  cmd.offset = target_offset;
-  cmd.win = w;
-  channel_.wait_done(channel_.submit(cmd));
-}
-void OffloadProxy::fence(smpi::Win w) {
-  Command cmd = base_cmd(CmdOp::kIfence, smpi::kCommWorld);
-  cmd.win = w;
-  channel_.wait_done(channel_.submit(cmd));
 }
 
 // ---------------------------------------------------------------- factory ----

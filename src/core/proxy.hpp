@@ -133,10 +133,12 @@ class Proxy {
   virtual void stop() {}
 
   // ---- point-to-point ----
+  // Every MPI op below is built here, once, as a Command and handed to
+  // backend_submit; the blocking forms post the nonblocking op and wait.
   virtual PReq isend(const void* b, std::size_t n, smpi::Datatype dt, int dst,
-                     int tag, smpi::Comm c = smpi::kCommWorld) = 0;
+                     int tag, smpi::Comm c = smpi::kCommWorld);
   virtual PReq irecv(void* b, std::size_t n, smpi::Datatype dt, int src,
-                     int tag, smpi::Comm c = smpi::kCommWorld) = 0;
+                     int tag, smpi::Comm c = smpi::kCommWorld);
   virtual void send(const void* b, std::size_t n, smpi::Datatype dt, int dst,
                     int tag, smpi::Comm c = smpi::kCommWorld);
   virtual void recv(void* b, std::size_t n, smpi::Datatype dt, int src, int tag,
@@ -213,7 +215,7 @@ class Proxy {
   // ---- completion ----
   virtual void wait(PReq& r, smpi::Status* st = nullptr) = 0;
   virtual bool test(PReq& r, smpi::Status* st = nullptr) = 0;
-  virtual void waitall(std::span<PReq> rs);
+  virtual void waitall(std::span<PReq> rs) = 0;
   /// MPI_Waitany: block until some active request completes, release it,
   /// null its entry, and return its index; -1 when every entry is null.
   virtual int waitany(std::span<PReq> rs, smpi::Status* st = nullptr) = 0;
@@ -240,29 +242,29 @@ class Proxy {
 
   // ---- collectives ----
   virtual void barrier(smpi::Comm c = smpi::kCommWorld);
-  virtual PReq ibarrier(smpi::Comm c = smpi::kCommWorld) = 0;
+  virtual PReq ibarrier(smpi::Comm c = smpi::kCommWorld);
   virtual void bcast(void* b, std::size_t n, smpi::Datatype dt, int root,
                      smpi::Comm c = smpi::kCommWorld);
   virtual PReq ibcast(void* b, std::size_t n, smpi::Datatype dt, int root,
-                      smpi::Comm c = smpi::kCommWorld) = 0;
+                      smpi::Comm c = smpi::kCommWorld);
   virtual void reduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
                       smpi::Op op, int root, smpi::Comm c = smpi::kCommWorld);
   virtual PReq ireduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
-                       smpi::Op op, int root, smpi::Comm c = smpi::kCommWorld) = 0;
+                       smpi::Op op, int root, smpi::Comm c = smpi::kCommWorld);
   virtual void allreduce(const void* s, void* r, std::size_t n,
                          smpi::Datatype dt, smpi::Op op,
                          smpi::Comm c = smpi::kCommWorld);
   virtual PReq iallreduce(const void* s, void* r, std::size_t n,
                           smpi::Datatype dt, smpi::Op op,
-                          smpi::Comm c = smpi::kCommWorld) = 0;
+                          smpi::Comm c = smpi::kCommWorld);
   virtual void alltoall(const void* s, void* r, std::size_t n_per,
                         smpi::Datatype dt, smpi::Comm c = smpi::kCommWorld);
   virtual PReq ialltoall(const void* s, void* r, std::size_t n_per,
-                         smpi::Datatype dt, smpi::Comm c = smpi::kCommWorld) = 0;
+                         smpi::Datatype dt, smpi::Comm c = smpi::kCommWorld);
   virtual void allgather(const void* s, void* r, std::size_t n_per,
                          smpi::Datatype dt, smpi::Comm c = smpi::kCommWorld);
   virtual PReq iallgather(const void* s, void* r, std::size_t n_per,
-                          smpi::Datatype dt, smpi::Comm c = smpi::kCommWorld) = 0;
+                          smpi::Datatype dt, smpi::Comm c = smpi::kCommWorld);
 
   // ---- one-sided (RMA) ----
   virtual smpi::Win win_create(void* base, std::size_t bytes,
@@ -307,16 +309,21 @@ class Proxy {
       return is_send && partitions != 0 && marked_count != partitions;
     }
     /// The Status a completed generation reports: a partitioned request
-    /// answers for the whole message (base tag, total bytes); the
+    /// answers for the whole message (its peer, base tag, total bytes); the
     /// per-partition wire tags are an implementation detail.
     [[nodiscard]] smpi::Status whole_message(smpi::Status st) const {
       if (partitions != 0) {
+        st.source = peer;
         st.tag = tag;
         st.bytes = bytes;
       }
       return st;
     }
   };
+
+  /// Issue one op built by the front end. Returns its handle, or a null
+  /// handle when the op finished inline.
+  virtual PReq backend_submit(const Command& cmd) = 0;
 
   /// Post a validated post_batch group (the default: one op at a time).
   virtual void backend_post_batch(std::span<const BatchOp> ops,
@@ -337,8 +344,8 @@ class Proxy {
   virtual void backend_ship(const PersistentOp& op, std::uint32_t lo,
                             std::uint32_t hi) = 0;
   /// Complete the generation: block until it is done, or poll once and
-  /// report whether it is. `st` receives the raw Status (for a partitioned
-  /// request only its source counts; the front end fills tag and bytes).
+  /// report whether it is. `st` receives the raw Status (a partitioned
+  /// request's is ignored: the front end fills source, tag and bytes).
   virtual bool backend_complete(const PersistentOp& op, bool block,
                                 smpi::Status* st) = 0;
   /// Release the request (no generation in flight).
@@ -354,6 +361,8 @@ class Proxy {
   /// Look up a handle, throwing on null/out-of-range.
   PersistentOp& pop_of(const PersistentReq& r, const char* call);
   PersistentReq persist_register(const Command& env, std::uint32_t partitions);
+  /// backend_submit, then wait on the handle unless the op finished inline.
+  void submit_and_wait(const Command& cmd);
   void mark_ready(PersistentReq& r, std::uint32_t lo, std::uint32_t hi,
                   const char* call);
   bool complete(PersistentOp& op, bool block, smpi::Status* st);
@@ -370,26 +379,11 @@ class DirectProxy : public Proxy {
   using Proxy::attach_continuation;
   [[nodiscard]] Approach approach() const override { return Approach::kBaseline; }
 
-  PReq isend(const void* b, std::size_t n, smpi::Datatype dt, int dst, int tag,
-             smpi::Comm c = smpi::kCommWorld) override;
-  PReq irecv(void* b, std::size_t n, smpi::Datatype dt, int src, int tag,
-             smpi::Comm c = smpi::kCommWorld) override;
   void wait(PReq& r, smpi::Status* st = nullptr) override;
   bool test(PReq& r, smpi::Status* st = nullptr) override;
   void waitall(std::span<PReq> rs) override;
   int waitany(std::span<PReq> rs, smpi::Status* st = nullptr) override;
   bool testall(std::span<PReq> rs) override;
-  PReq ibarrier(smpi::Comm c = smpi::kCommWorld) override;
-  PReq ibcast(void* b, std::size_t n, smpi::Datatype dt, int root,
-              smpi::Comm c = smpi::kCommWorld) override;
-  PReq ireduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
-               smpi::Op op, int root, smpi::Comm c = smpi::kCommWorld) override;
-  PReq iallreduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
-                  smpi::Op op, smpi::Comm c = smpi::kCommWorld) override;
-  PReq ialltoall(const void* s, void* r, std::size_t n_per, smpi::Datatype dt,
-                 smpi::Comm c = smpi::kCommWorld) override;
-  PReq iallgather(const void* s, void* r, std::size_t n_per, smpi::Datatype dt,
-                  smpi::Comm c = smpi::kCommWorld) override;
 
   /// Direct approaches have no engine fiber: armed continuations live in a
   /// list the progress path pumps (each pump MPI_Tests the armed requests
@@ -405,6 +399,9 @@ class DirectProxy : public Proxy {
   /// re-entry (callbacks posting follow-ups or attaching more continuations
   /// land in armed_ and are picked up by the restarted scan).
   void pump_continuations();
+
+  /// The calling thread makes the MPI call itself.
+  PReq backend_submit(const Command& cmd) override;
 
   // Persistent backend: one rc_-level persistent MPI request per request
   // (or per partition). The calling thread enters MPI itself, so a shipped
@@ -477,18 +474,6 @@ class OffloadProxy : public Proxy {
     return channel_.pool().capacity() - channel_.pool().free_count();
   }
 
-  smpi::Win win_create(void* base, std::size_t bytes, smpi::Comm c) override;
-  void win_free(smpi::Win w) override;
-  void put(const void* origin, std::size_t bytes, int target,
-           std::size_t target_offset, smpi::Win w) override;
-  void get(void* origin, std::size_t bytes, int target,
-           std::size_t target_offset, smpi::Win w) override;
-  void fence(smpi::Win w) override;
-
-  PReq isend(const void* b, std::size_t n, smpi::Datatype dt, int dst, int tag,
-             smpi::Comm c = smpi::kCommWorld) override;
-  PReq irecv(void* b, std::size_t n, smpi::Datatype dt, int src, int tag,
-             smpi::Comm c = smpi::kCommWorld) override;
   void wait(PReq& r, smpi::Status* st = nullptr) override;
   bool test(PReq& r, smpi::Status* st = nullptr) override;
   /// Tuned completion surface: one pass over the pool's done flags per wake,
@@ -496,17 +481,6 @@ class OffloadProxy : public Proxy {
   void waitall(std::span<PReq> rs) override;
   int waitany(std::span<PReq> rs, smpi::Status* st = nullptr) override;
   bool testall(std::span<PReq> rs) override;
-  PReq ibarrier(smpi::Comm c = smpi::kCommWorld) override;
-  PReq ibcast(void* b, std::size_t n, smpi::Datatype dt, int root,
-              smpi::Comm c = smpi::kCommWorld) override;
-  PReq ireduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
-               smpi::Op op, int root, smpi::Comm c = smpi::kCommWorld) override;
-  PReq iallreduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
-                  smpi::Op op, smpi::Comm c = smpi::kCommWorld) override;
-  PReq ialltoall(const void* s, void* r, std::size_t n_per, smpi::Datatype dt,
-                 smpi::Comm c = smpi::kCommWorld) override;
-  PReq iallgather(const void* s, void* r, std::size_t n_per, smpi::Datatype dt,
-                  smpi::Comm c = smpi::kCommWorld) override;
 
   /// Delegates to OffloadChannel::attach_continuation — the engine fiber
   /// runs the callback from its completion pass (inline here only when the
@@ -515,6 +489,8 @@ class OffloadProxy : public Proxy {
   void cont_wait(const std::function<bool()>& done) override;
 
  protected:
+  /// Publishes the command to the engines; the handle is its pool slot.
+  PReq backend_submit(const Command& cmd) override;
   void backend_post_batch(std::span<const BatchOp> ops,
                           std::span<PReq> out) override;
   // Persistent backend: the channel's PersistSlots. A start publishes one

@@ -239,6 +239,49 @@ TEST_P(PartitionedData, OutOfOrderPreadyDeliversWholeMessage) {
   });
 }
 
+// A completed partitioned request answers for the whole message on both
+// sides and through both completion surfaces: the peer as source, the base
+// tag, and the total byte count.
+TEST_P(PartitionedData, StatusReportsPeerBaseTagAndTotalBytes) {
+  const Approach a = GetParam();
+  constexpr std::uint32_t kParts = 3;
+  constexpr std::size_t kCount = 600;  // ints
+  constexpr std::uint64_t kBytes = kCount * sizeof(int);
+  smpi::Cluster cluster(ccfg(2, a));
+  cluster.run([&](smpi::RankCtx& rc) {
+    auto p = core::make_proxy(a, rc);
+    p->start_engine();
+    const int r = rc.rank(), peer = 1 - r;
+    std::vector<int> buf(kCount, r);
+    PersistentReq q =
+        r == 0 ? p->psend_init(buf.data(), kCount, Datatype::kInt, peer, 21,
+                               kParts)
+               : p->precv_init(buf.data(), kCount, Datatype::kInt, peer, 21,
+                               kParts);
+    auto expect_whole = [&](const smpi::Status& st, const char* via) {
+      EXPECT_EQ(st.source, peer) << via << " on rank " << r;
+      EXPECT_EQ(st.tag, 21) << via << " on rank " << r;
+      EXPECT_EQ(st.bytes, kBytes) << via << " on rank " << r;
+    };
+    p->start(q);
+    if (r == 0) p->pready_range(q, 0, kParts - 1);
+    smpi::Status st;
+    p->wait(q, &st);
+    expect_whole(st, "wait");
+    p->start(q);
+    if (r == 0) p->pready_range(q, 0, kParts - 1);
+    bool fired = false;
+    p->attach_continuation(q, [&](const smpi::Status& s) {
+      expect_whole(s, "continuation");
+      fired = true;
+    });
+    p->cont_wait([&] { return fired; });
+    p->request_free(q);
+    p->barrier();
+    p->stop();
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(Approaches, PartitionedData,
                          ::testing::Values(Approach::kBaseline,
                                            Approach::kIprobe,

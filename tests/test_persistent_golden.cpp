@@ -279,10 +279,10 @@ const Row kGolden[] = {
     {Approach::kCommSelf, 4, 'r', 579066, 0x6413ac8a52b21e5ull, 0x27e58567c11d5db8ull},
     {Approach::kCommSelf, 4, 'w', 266272, 0x5716f98bb642555cull, 0x2d0c109e7296833aull},
     {Approach::kCommSelf, 4, 'c', 53995, 0x4ba70ccede621a20ull, 0xbb768596e743b300ull},
-    {Approach::kOffload, 1, 'r', 450179, 0x6413ac8a52b21e5ull, 0xea610b46742a2121ull},
+    {Approach::kOffload, 1, 'r', 450179, 0x6413ac8a52b21e5ull, 0x27e58567c11d5db8ull},
     {Approach::kOffload, 1, 'w', 126932, 0x5716f98bb642555cull, 0x2d0c109e7296833aull},
     {Approach::kOffload, 1, 'c', 9725, 0x4ba70ccede621a20ull, 0xbb768596e743b300ull},
-    {Approach::kOffload, 4, 'r', 448909, 0x6413ac8a52b21e5ull, 0xea610b46742a2121ull},
+    {Approach::kOffload, 4, 'r', 448909, 0x6413ac8a52b21e5ull, 0x27e58567c11d5db8ull},
     {Approach::kOffload, 4, 'w', 127232, 0x5716f98bb642555cull, 0x2d0c109e7296833aull},
     {Approach::kOffload, 4, 'c', 9990, 0x4ba70ccede621a20ull, 0xbb768596e743b300ull},
 };

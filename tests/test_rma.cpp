@@ -71,9 +71,15 @@ TEST_P(RmaProxies, GetFromNeighborWindow) {
 
 INSTANTIATE_TEST_SUITE_P(Approaches, RmaProxies,
                          ::testing::Values(Approach::kBaseline,
+                                           Approach::kIprobe,
+                                           Approach::kCommSelf,
                                            Approach::kOffload),
                          [](const ::testing::TestParamInfo<Approach>& i) {
-                           return std::string(core::approach_name(i.param));
+                           std::string n = core::approach_name(i.param);
+                           for (auto& ch : n) {
+                             if (ch == '-') ch = '_';
+                           }
+                           return n;
                          });
 
 TEST(Rma, LargePutMovesWithoutTargetCpu) {
