@@ -42,6 +42,7 @@
 #include "benchlib/table.hpp"
 #include "mpi/cluster.hpp"
 #include "sim/sync.hpp"
+#include "util/hash.hpp"
 
 using namespace benchlib;
 using core::Approach;
@@ -141,14 +142,6 @@ void a5_ring_capacity() {
   benchlib::finish_table(t);
 }
 
-std::uint64_t fnv1a(const char* data, std::size_t n, std::uint64_t h) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 struct A6Cell {
   double comm_us = 0;
   double overlap = 0;
@@ -218,8 +211,8 @@ A6Cell a6_run(Approach a, double drop) {
           }
         }
         if (step == 1 && i >= kWarmup) {
-          digest = fnv1a(rbig.data(), kBig, digest);
-          digest = fnv1a(rsmall.data(), kSmall, digest);
+          digest = util::fnv1a(rbig.data(), kBig, digest);
+          digest = util::fnv1a(rsmall.data(), kSmall, digest);
         }
       }
     }

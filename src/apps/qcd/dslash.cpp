@@ -144,10 +144,6 @@ void spinor_xpay(const SpinorField& x, cf alpha, SpinorField& y) {
   for (std::size_t i = 0; i < x.v.size(); ++i) y.v[i] = x.v[i] + alpha * y.v[i];
 }
 
-void spinor_scale(cf alpha, SpinorField& y) {
-  for (auto& z : y.v) z *= alpha;
-}
-
 void spinor_copy(const SpinorField& x, SpinorField& y) { y.v = x.v; }
 
 // ------------------------------------------------------ DistributedDslash ----

@@ -76,7 +76,6 @@ std::complex<double> spinor_dot(const SpinorField& a, const SpinorField& b);
 double spinor_norm2(const SpinorField& a);
 void spinor_axpy(cf alpha, const SpinorField& x, SpinorField& y);  // y += a*x
 void spinor_xpay(const SpinorField& x, cf alpha, SpinorField& y);  // y = x + a*y
-void spinor_scale(cf alpha, SpinorField& y);
 void spinor_copy(const SpinorField& x, SpinorField& y);
 
 /// Distributed operator: owns halo buffers and performs the Listing-1 loop
@@ -113,8 +112,6 @@ class DistributedDslash {
   /// Free the persistent halo requests (must be called after the last
   /// generation completed and before the proxy stops; idempotent).
   void release_persistent();
-  /// Partition count apply_partitioned uses for dimension mu (0 = unsplit).
-  [[nodiscard]] int halo_partitions(int mu) const { return halo_parts_[mu]; }
 
  private:
   void pack_faces();

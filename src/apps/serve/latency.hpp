@@ -13,8 +13,8 @@
 #include <bit>
 #include <cstdint>
 
-#include "apps/serve/traffic.hpp"  // fnv1a
 #include "sim/time.hpp"
+#include "util/hash.hpp"
 
 namespace serve {
 
@@ -60,7 +60,7 @@ class LatencyHistogram {
 
   /// Bit-stable identity of the distribution (FNV over the count array).
   [[nodiscard]] std::uint64_t digest() const {
-    return fnv1a(counts_.data(), counts_.size() * sizeof(counts_[0]));
+    return util::fnv1a(counts_.data(), counts_.size() * sizeof(counts_[0]));
   }
 
   bool operator==(const LatencyHistogram&) const = default;

@@ -58,14 +58,15 @@ struct RespHeader {
 /// so both replicas of a hedged request produce identical bytes and the
 /// edge-side digest is independent of who wins the race.
 std::uint64_t response_stream_seed(const ReqHeader& h) {
-  return mix64(h.client ^ mix64(h.seq) ^ h.key ^ h.checksum);
+  return util::splitmix64(h.client ^ util::splitmix64(h.seq) ^ h.key ^
+                          h.checksum);
 }
 
 void fill_stream(void* dst, std::size_t n, std::uint64_t seed) {
   auto* p = static_cast<unsigned char*>(dst);
   std::size_t i = 0;
   while (i < n) {
-    const std::uint64_t w = mix64(seed + i / 8);
+    const std::uint64_t w = util::splitmix64(seed + i / 8);
     const std::size_t take = std::min<std::size_t>(8, n - i);
     std::memcpy(p + i, &w, take);
     i += take;
@@ -160,8 +161,8 @@ void run_edge(smpi::RankCtx& rc, core::Proxy& proxy, const ServeConfig& cfg,
         cfg.edges + static_cast<int>((s.arr.key + 1) %
                                      static_cast<std::uint64_t>(shards));
     const std::uint64_t payload_seed =
-        mix64(cfg.traffic.seed ^ mix64(s.arr.seq) ^
-              static_cast<std::uint64_t>(edge_index));
+        util::splitmix64(cfg.traffic.seed ^ util::splitmix64(s.arr.seq) ^
+                         static_cast<std::uint64_t>(edge_index));
 
     int dst[2] = {primary, replica};
     for (int c = 0; c < s.copies; ++c) {
@@ -174,7 +175,7 @@ void run_edge(smpi::RankCtx& rc, core::Proxy& proxy, const ServeConfig& cfg,
       h.resp_tag = kRespTagBase + static_cast<int>(si) * 2 + c;
       h.flags = c == 1 ? kFlagHedgeCopy : 0u;
       fill_stream(s.req[c].data() + hdr, s.arr.req_bytes, payload_seed);
-      h.checksum = fnv1a(s.req[c].data() + hdr, s.arr.req_bytes);
+      h.checksum = util::fnv1a(s.req[c].data() + hdr, s.arr.req_bytes);
       std::memcpy(s.req[c].data(), &h, hdr);
     }
 
@@ -217,10 +218,11 @@ void run_edge(smpi::RankCtx& rc, core::Proxy& proxy, const ServeConfig& cfg,
               RespHeader rh;
               std::memcpy(&rh, sl.resp[winner].data(), rhdr);
               const std::uint64_t d =
-                  fnv1a(sl.resp[winner].data() + rhdr, sl.arr.resp_bytes);
+                  util::fnv1a(sl.resp[winner].data() + rhdr, sl.arr.resp_bytes);
               if (rh.seq != sl.arr.seq || rh.digest != d) ++out.checksum_fail;
               out.payload_digest +=
-                  mix64(d ^ mix64(sl.arr.seq * 0x9e3779b97f4a7c15ull));
+                  util::splitmix64(d ^ util::splitmix64(sl.arr.seq *
+                                                        0x9e3779b97f4a7c15ull));
               ++out.responses;
               out.last_response = sim::now();
             },
@@ -318,7 +320,7 @@ void run_shard(smpi::RankCtx& rc, core::Proxy& proxy, const ServeConfig& cfg,
           work_n.signal();
           return;
         }
-        if (fnv1a(raw->buf.data() + hdr, h.req_bytes) != h.checksum) {
+        if (util::fnv1a(raw->buf.data() + hdr, h.req_bytes) != h.checksum) {
           ++out.checksum_fail;
         }
         queue.push_back(WorkItem{h, raw->edge});
@@ -349,8 +351,9 @@ void run_shard(smpi::RankCtx& rc, core::Proxy& proxy, const ServeConfig& cfg,
     PReq r = proxy.iallreduce(contrib.data(), result.data(), cfg.update,
                               Datatype::kDouble, smpi::Op::kSum, shard_comm);
     cont::wrap(proxy, r).then([&](const Status&) {
-      out.update_digest = fnv1a(result.data(), cfg.update * sizeof(double),
-                                out.update_digest + 0x100001b3ull);
+      out.update_digest =
+          util::fnv1a(result.data(), cfg.update * sizeof(double),
+                      out.update_digest + 0x100001b3ull);
       if (++round < cfg.rounds) {
         post_round();  // chain the next round from this completion
       } else {
@@ -377,7 +380,7 @@ void run_shard(smpi::RankCtx& rc, core::Proxy& proxy, const ServeConfig& cfg,
         rh.seq = it.hdr.seq;
         fill_stream(bufs[bi].data() + rhdr, it.hdr.resp_bytes,
                     response_stream_seed(it.hdr));
-        rh.digest = fnv1a(bufs[bi].data() + rhdr, it.hdr.resp_bytes);
+        rh.digest = util::fnv1a(bufs[bi].data() + rhdr, it.hdr.resp_bytes);
         std::memcpy(bufs[bi].data(), &rh, rhdr);
         ++resp_inflight;
         cont::isend(proxy, bufs[bi].data(), rhdr + it.hdr.resp_bytes,

@@ -22,29 +22,9 @@
 
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
+#include "util/hash.hpp"
 
 namespace serve {
-
-/// splitmix64 — the standalone mixer used for per-request derived values
-/// (payload seeds, hedge picks), so they depend only on (seed, seq) and not
-/// on any stream position.
-inline std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-/// FNV-1a over a byte range: the digest primitive for payload identity.
-inline std::uint64_t fnv1a(const void* data, std::size_t n,
-                           std::uint64_t h = 1469598103934665603ull) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 /// Bounded Pareto distribution on [lo, hi] with shape alpha (alpha != 1).
 struct BoundedPareto {
@@ -114,8 +94,9 @@ class TrafficGen {
  public:
   TrafficGen(const TrafficConfig& cfg, int edge_index)
       : cfg_(cfg),
-        rng_(mix64(cfg.seed ^ (0x5e41ull + static_cast<std::uint64_t>(
-                                               edge_index) * 0x9e37ull))),
+        rng_(util::splitmix64(
+            cfg.seed ^
+            (0x5e41ull + static_cast<std::uint64_t>(edge_index) * 0x9e37ull))),
         size_(BoundedPareto{cfg.alpha, static_cast<double>(cfg.smin),
                             static_cast<double>(cfg.smax)}) {}
 

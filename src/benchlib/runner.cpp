@@ -83,7 +83,6 @@ void Runner::finish(const Table& t) {
 }
 
 bool Runner::stats_enabled() { return g_stats_enabled; }
-void Runner::set_stats_enabled(bool on) { g_stats_enabled = on; }
 
 bool Runner::smoke_enabled() {
   static const bool on = [] {

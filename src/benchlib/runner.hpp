@@ -39,12 +39,8 @@ class Runner {
   /// Print the table to stdout and, with --csv, append it to the CSV file.
   void finish(const Table& t);
 
-  [[nodiscard]] bool tracing() const { return !trace_path_.empty(); }
-  [[nodiscard]] const std::string& trace_path() const { return trace_path_; }
-
   /// Global switch read by the benchlib kernels' stats hooks.
   static bool stats_enabled();
-  static void set_stats_enabled(bool on);
 
   /// True when MPIOFF_BENCH_SMOKE=1: benches run a reduced configuration
   /// (fewer sizes/thread counts) so CI can execute them in minutes while

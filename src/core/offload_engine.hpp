@@ -213,13 +213,6 @@ class OffloadChannel {
     return engine_for_current_fiber() != nullptr;
   }
 
-  /// Continuations queued but not yet run by their engine.
-  [[nodiscard]] std::size_t cont_pending() const {
-    std::size_t n = 0;
-    for (const auto& e : engines_) n += e->cont_ready.size();
-    return n;
-  }
-
   // ---------------- persistent / partitioned requests ----------------
   // The mechanics under OffloadProxy's persistent backend hooks; the proxy
   // front end (core/proxy.hpp) has already validated every call. A

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "sim/rng.hpp"
+#include "util/hash.hpp"
 #include "util/spec_parser.hpp"
 
 namespace machine {
@@ -14,13 +15,6 @@ constexpr const char* kEnv = "MPIOFF_FAULTS";
 
 constexpr const char* kValidKeys =
     "drop, dup, corrupt, delay, reorder, stall, rto, seed";
-
-std::uint64_t splitmix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 double parse_prob(const std::string& v, const std::string& key) {
   return util::SpecParser::parse_prob(kEnv, v, key);
@@ -98,8 +92,8 @@ FaultDecision FaultPlan::decide(int src, int dst) {
   const std::uint64_t ctr = pair_ctr_[pair]++;
   // Fresh per-frame stream: variable draw counts below cannot leak into any
   // other frame's decision, and global send order is irrelevant.
-  sim::Rng rng(splitmix(splitmix(spec_.seed ^ (pair * 0x7fb5d329728ea185ull)) ^
-                        ctr));
+  sim::Rng rng(util::splitmix64(
+      util::splitmix64(spec_.seed ^ (pair * 0x7fb5d329728ea185ull)) ^ ctr));
   ++stats_.frames;
   FaultDecision d;
   if (spec_.drop > 0 && rng.next_double() < spec_.drop) {

@@ -83,7 +83,6 @@ inline RankCtx& ctx() { return Cluster::here(); }
 
 inline int rank(Comm c = kCommWorld) { return ctx().comms().get(c).my_rank; }
 inline int size(Comm c = kCommWorld) { return ctx().comms().get(c).size(); }
-inline sim::Time wtime() { return sim::now(); }
 
 inline Request isend(const void* b, std::size_t n, Datatype dt, int dst, int tag,
                      Comm c = kCommWorld) {

@@ -260,7 +260,7 @@ void build_ring_allgather(CollOp& op, const CommInfo& ci, std::byte* rb,
 // --------------------------------------------------------------- barrier ----
 
 Request RankCtx::ibarrier(Comm comm) {
-  MpiEntry entry(*this, false, "Ibarrier");
+  MpiEntry entry(*this, "Ibarrier");
   CommInfo& ci = comms_.get(comm);
   const int p = ci.size();
   auto op = new_op(ci, comm, CollectiveId::kBarrier,
@@ -289,7 +289,7 @@ void RankCtx::barrier(Comm comm) {
 
 Request RankCtx::ibcast(void* buf, std::size_t count, Datatype dt, int root,
                         Comm comm) {
-  MpiEntry entry(*this, false, "Ibcast");
+  MpiEntry entry(*this, "Ibcast");
   CommInfo& ci = comms_.get(comm);
   const std::size_t bytes = count * datatype_size(dt);
   const int p = ci.size();
@@ -324,7 +324,7 @@ void RankCtx::bcast(void* buf, std::size_t count, Datatype dt, int root,
 
 Request RankCtx::ireduce(const void* sbuf, void* rbuf, std::size_t count,
                          Datatype dt, Op rop, int root, Comm comm) {
-  MpiEntry entry(*this, false, "Ireduce");
+  MpiEntry entry(*this, "Ireduce");
   CommInfo& ci = comms_.get(comm);
   const std::size_t bytes = count * datatype_size(dt);
   // Phantom (timing-only) reductions carry no data, so the schedule's
@@ -366,7 +366,7 @@ void RankCtx::reduce(const void* sbuf, void* rbuf, std::size_t count,
 
 Request RankCtx::iallreduce(const void* sbuf, void* rbuf, std::size_t count,
                             Datatype dt, Op rop, Comm comm) {
-  MpiEntry entry(*this, false, "Iallreduce");
+  MpiEntry entry(*this, "Iallreduce");
   CommInfo& ci = comms_.get(comm);
   const std::size_t bytes = count * datatype_size(dt);
   const bool phantom = sbuf == nullptr;
@@ -506,7 +506,7 @@ void RankCtx::allreduce(const void* sbuf, void* rbuf, std::size_t count,
 
 Request RankCtx::ialltoall(const void* sbuf, void* rbuf,
                            std::size_t count_per_rank, Datatype dt, Comm comm) {
-  MpiEntry entry(*this, false, "Ialltoall");
+  MpiEntry entry(*this, "Ialltoall");
   CommInfo& ci = comms_.get(comm);
   const std::size_t blk = count_per_rank * datatype_size(dt);
   const int p = ci.size();
@@ -570,7 +570,7 @@ void RankCtx::alltoall(const void* sbuf, void* rbuf, std::size_t count_per_rank,
 
 Request RankCtx::iallgather(const void* sbuf, void* rbuf,
                             std::size_t count_per_rank, Datatype dt, Comm comm) {
-  MpiEntry entry(*this, false, "Iallgather");
+  MpiEntry entry(*this, "Iallgather");
   CommInfo& ci = comms_.get(comm);
   const std::size_t blk = count_per_rank * datatype_size(dt);
   const int p = ci.size();
@@ -628,7 +628,7 @@ void RankCtx::allgather(const void* sbuf, void* rbuf, std::size_t count_per_rank
 Request RankCtx::igather(const void* sbuf, void* rbuf,
                          std::size_t count_per_rank, Datatype dt, int root,
                          Comm comm) {
-  MpiEntry entry(*this, false, "Igather");
+  MpiEntry entry(*this, "Igather");
   CommInfo& ci = comms_.get(comm);
   const std::size_t blk = count_per_rank * datatype_size(dt);
   const int p = ci.size();
@@ -664,7 +664,7 @@ void RankCtx::gather(const void* sbuf, void* rbuf, std::size_t count_per_rank,
 Request RankCtx::iscatter(const void* sbuf, void* rbuf,
                           std::size_t count_per_rank, Datatype dt, int root,
                           Comm comm) {
-  MpiEntry entry(*this, false, "Iscatter");
+  MpiEntry entry(*this, "Iscatter");
   CommInfo& ci = comms_.get(comm);
   const std::size_t blk = count_per_rank * datatype_size(dt);
   const int p = ci.size();
@@ -701,7 +701,7 @@ void RankCtx::scatter(const void* sbuf, void* rbuf, std::size_t count_per_rank,
 
 Request RankCtx::iscan(const void* sbuf, void* rbuf, std::size_t count,
                        Datatype dt, Op rop, Comm comm) {
-  MpiEntry entry(*this, false, "Iscan");
+  MpiEntry entry(*this, "Iscan");
   CommInfo& ci = comms_.get(comm);
   const std::size_t bytes = count * datatype_size(dt);
   const bool phantom = sbuf == nullptr;

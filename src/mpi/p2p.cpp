@@ -10,6 +10,7 @@
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "mpi/cluster.hpp"
 #include "mpi/entry.hpp"
@@ -230,17 +231,12 @@ void RankCtx::start_internal(RequestImpl& r) {
     post_send_into(r, r.p_buf, r.p_bytes, r.p_peer, r.p_ctx, r.p_tag, r.p_comm,
                    /*registered=*/true);
   } else {
-    post_recv_into(r, r.p_rbuf, r.p_bytes, r.p_peer, r.p_ctx, r.p_tag,
+    post_recv_into(r, r.p_buf, r.p_bytes, r.p_peer, r.p_ctx, r.p_tag,
                    r.p_comm);
   }
 }
 
 // ------------------------------------------------------------ wait core ----
-
-bool RankCtx::software_work_pending() const {
-  return !inbox_.empty() || !pending_rndv_send_.empty() ||
-         !pending_rndv_recv_.empty() || !active_colls_.empty();
-}
 
 void RankCtx::wait_until(MpiEntry& entry, const std::function<bool()>& done) {
   const auto& p = profile();
@@ -302,45 +298,86 @@ void RankCtx::wait_until(MpiEntry& entry, const std::function<bool()>& done) {
   }
 }
 
-bool RankCtx::test_internal(RequestImpl& r, Status* st) {
-  if (!r.settled()) return false;
-  if (st != nullptr) *st = r.status;
-  return true;
-}
-
-void RankCtx::release_if_complete(Request& r, Status* st) {
-  RequestImpl& impl = reqs_.get(r);
-  if (impl.persistent) {
-    // Persistent requests are reset, never released: the table slot (and the
-    // handle value) survive until request_free. The caller's handle COPY is
-    // nulled — that is load-bearing for the offload engine's testany sweep,
-    // which uses a nulled scratch entry as its dead-slot marker; the public
-    // wait/test restore the app-visible handle afterwards.
-    if (!impl.p_started) {  // inactive: trivially complete, empty status
-      if (st != nullptr) *st = Status{};
-      r = kRequestNull;
-      return;
+// The completion kernel behind the seven test/wait calls. Each takes the
+// same steps: enter MPI, treat stale handles as null (the sanitizer reports
+// them), then poll once and scan (test forms) or block until `need` holds
+// (wait forms, whose wait_until checks before its first poll), and release
+// what settled:
+//   * kOne — one handle. A null or stale one completes at once with an empty
+//     status; a persistent handle survives its completion.
+//   * kAll — every non-null entry settled; all of them are released.
+//   * kAny / kSome — the first / every settled entry is released. Null and
+//     inactive persistent entries take no part; with none left the call
+//     completes with nothing (MPI_UNDEFINED / the empty set).
+// The array forms null every entry they complete, persistent ones included:
+// the offload engine's testany sweep uses that null as its dead-slot marker.
+// Returns false only when a test form finds `need` unmet. `first` gets the
+// first completed position (-1 if none); `some` collects them all.
+bool RankCtx::complete(const char* call, std::span<Request> rs, Need need,
+                       bool block, Status* st, int* first,
+                       std::vector<int>* some) {
+  MpiEntry entry(*this, call);
+  for (Request& r : rs) {
+    if (!r.is_null() &&
+        !san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, call)) {
+      r = kRequestNull;  // stale: treat as complete, as a real wait would
     }
-    if (!impl.complete) return;
-    if (st != nullptr) *st = impl.status;
-    san::mpi_complete(rank_, impl.idx);  // verify checksum, drop registration
-    impl.complete = false;
-    impl.p_started = false;  // back to inactive, ready for the next Start
-    r = kRequestNull;
-    return;
   }
-  if (!impl.complete) return;
-  if (st != nullptr) *st = impl.status;
-  san::mpi_complete(rank_, impl.idx);  // verify checksum, drop registration
-  reqs_.release(impl);
-  r = kRequestNull;
+  if (need == Need::kOne && rs[0].is_null()) {
+    if (st != nullptr) *st = Status{};
+    return true;
+  }
+  const bool any_of = need == Need::kAny || need == Need::kSome;
+  const auto skip = [&](Request r) {
+    return r.is_null() || (any_of && reqs_.get(r).inactive());
+  };
+  const auto met = [&] {
+    bool active = false;
+    for (Request r : rs) {
+      if (skip(r)) continue;
+      active = true;
+      const bool settled = reqs_.get(r).settled();
+      if (any_of && settled) return true;
+      if (!any_of && !settled) return false;
+    }
+    return !any_of || !active;
+  };
+  if (first != nullptr) *first = -1;
+  if (block) {
+    wait_until(entry, met);
+  } else {
+    progress_poll();
+    if (!met()) return false;
+  }
+  Status* out = (need == Need::kOne || need == Need::kAny) ? st : nullptr;
+  for (std::size_t i = 0; i < rs.size(); ++i) {
+    if (skip(rs[i])) continue;
+    RequestImpl& impl = reqs_.get(rs[i]);
+    if (!impl.settled()) continue;
+    if (first != nullptr && *first < 0) *first = static_cast<int>(i);
+    if (some != nullptr) some->push_back(static_cast<int>(i));
+    if (impl.inactive()) {  // trivially complete, empty status
+      if (out != nullptr) *out = Status{};
+    } else {
+      if (out != nullptr) *out = impl.status;
+      san::mpi_complete(rank_, impl.idx);  // verify checksum, drop registration
+      if (impl.persistent) {
+        impl.complete = impl.p_started = false;  // inactive, ready to Start
+      } else {
+        reqs_.release(impl);
+      }
+    }
+    if (need != Need::kOne || !impl.persistent) rs[i] = kRequestNull;
+    if (need == Need::kAny) break;
+  }
+  return true;
 }
 
 // ------------------------------------------------------------ public API ----
 
 Request RankCtx::isend(const void* buf, std::size_t count, Datatype dt, int dst,
                        int tag, Comm comm) {
-  MpiEntry entry(*this, false, "Isend");
+  MpiEntry entry(*this, "Isend");
   const CommInfo& ci = comms_.get(comm);
   if (dst == kProcNull) {
     RequestImpl& r = reqs_.alloc();
@@ -356,7 +393,7 @@ Request RankCtx::isend(const void* buf, std::size_t count, Datatype dt, int dst,
 
 Request RankCtx::irecv(void* buf, std::size_t count, Datatype dt, int src,
                        int tag, Comm comm) {
-  MpiEntry entry(*this, false, "Irecv");
+  MpiEntry entry(*this, "Irecv");
   const CommInfo& ci = comms_.get(comm);
   if (src == kProcNull) {
     RequestImpl& r = reqs_.alloc();
@@ -385,82 +422,21 @@ void RankCtx::recv(void* buf, std::size_t count, Datatype dt, int src, int tag,
 }
 
 bool RankCtx::test(Request& r, Status* st) {
-  MpiEntry entry(*this, false, "Test");
-  if (r.is_null()) {
-    if (st != nullptr) *st = Status{};
-    return true;
-  }
-  if (!san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, "Test")) {
-    r = kRequestNull;  // stale handle: treat as complete, as a real wait would
-    if (st != nullptr) *st = Status{};
-    return true;
-  }
-  progress_poll();
-  RequestImpl& impl = reqs_.get(r);
-  if (!impl.settled()) return false;
-  const bool keep = impl.persistent;
-  release_if_complete(r, st);
-  if (keep) r = Request{impl.idx};  // handle survives across generations
-  return true;
+  return complete("Test", {&r, 1}, Need::kOne, /*block=*/false, st);
 }
 
 void RankCtx::wait(Request& r, Status* st) {
-  MpiEntry entry(*this, false, "Wait");
-  if (r.is_null()) return;
-  if (!san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, "Wait")) {
-    r = kRequestNull;
-    if (st != nullptr) *st = Status{};
-    return;
-  }
-  RequestImpl& impl = reqs_.get(r);
-  wait_until(entry, [&] { return impl.settled(); });
-  const bool keep = impl.persistent;
-  release_if_complete(r, st);
-  if (keep) r = Request{impl.idx};  // handle survives across generations
+  complete("Wait", {&r, 1}, Need::kOne, /*block=*/true, st);
 }
 
 void RankCtx::waitall(std::span<Request> rs) {
-  MpiEntry entry(*this, false, "Waitall");
-  for (Request& r : rs) {
-    if (!r.is_null() &&
-        !san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, "Waitall")) {
-      r = kRequestNull;
-    }
-  }
-  wait_until(entry, [&] {
-    for (Request& r : rs) {
-      if (!r.is_null() && !reqs_.get(r).settled()) return false;
-    }
-    return true;
-  });
-  for (Request& r : rs) {
-    if (!r.is_null()) release_if_complete(r, nullptr);
-  }
+  complete("Waitall", rs, Need::kAll, /*block=*/true);
 }
 
 int RankCtx::waitany(std::span<Request> rs, Status* st) {
-  MpiEntry entry(*this, false, "Waitany");
-  for (Request& r : rs) {
-    if (!r.is_null() &&
-        !san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, "Waitany")) {
-      r = kRequestNull;
-    }
-  }
-  int found = -1;
-  wait_until(entry, [&] {
-    bool any_active = false;
-    for (std::size_t i = 0; i < rs.size(); ++i) {
-      if (rs[i].is_null()) continue;
-      any_active = true;
-      if (reqs_.get(rs[i]).settled()) {
-        found = static_cast<int>(i);
-        return true;
-      }
-    }
-    return !any_active;  // all null → "undefined" completion
-  });
-  if (found >= 0) release_if_complete(rs[static_cast<std::size_t>(found)], st);
-  return found;
+  int index = -1;
+  complete("Waitany", rs, Need::kAny, /*block=*/true, st, &index);
+  return index;
 }
 
 bool RankCtx::testany(std::span<Request> rs, int* index, Status* st) {
@@ -470,139 +446,79 @@ bool RankCtx::testany(std::span<Request> rs, int* index, Status* st) {
     *index = -1;
     return true;
   }
-  MpiEntry entry(*this, false, "Testany");
-  for (Request& r : rs) {
-    if (!r.is_null() &&
-        !san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, "Testany")) {
-      r = kRequestNull;
-    }
-  }
-  progress_poll();
-  bool any_active = false;
-  for (std::size_t i = 0; i < rs.size(); ++i) {
-    if (rs[i].is_null()) continue;
-    any_active = true;
-    if (reqs_.get(rs[i]).settled()) {
-      *index = static_cast<int>(i);
-      release_if_complete(rs[i], st);
-      return true;
-    }
-  }
-  *index = -1;
-  return !any_active;
+  return complete("Testany", rs, Need::kAny, /*block=*/false, st, index);
 }
 
 bool RankCtx::testall(std::span<Request> rs) {
-  MpiEntry entry(*this, false, "Testall");
-  for (Request& r : rs) {
-    if (!r.is_null() &&
-        !san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, "Testall")) {
-      r = kRequestNull;
-    }
-  }
-  progress_poll();
-  for (Request& r : rs) {
-    if (!r.is_null() && !reqs_.get(r).settled()) return false;
-  }
-  for (Request& r : rs) {
-    if (!r.is_null()) release_if_complete(r, nullptr);
-  }
-  return true;
+  return complete("Testall", rs, Need::kAll, /*block=*/false);
 }
 
 std::vector<int> RankCtx::waitsome(std::span<Request> rs) {
-  if (rs.empty()) return {};  // MPI_Waitsome(0, ...): no entry overhead
-  MpiEntry entry(*this, false, "Waitsome");
-  for (Request& r : rs) {
-    if (!r.is_null() &&
-        !san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, "Waitsome")) {
-      r = kRequestNull;
-    }
-  }
-  bool any_active = false;
-  for (Request& r : rs) any_active = any_active || !r.is_null();
-  if (!any_active) return {};
-  wait_until(entry, [&] {
-    for (Request& r : rs) {
-      if (!r.is_null() && reqs_.get(r).settled()) return true;
-    }
-    return false;
-  });
   std::vector<int> done;
-  for (std::size_t i = 0; i < rs.size(); ++i) {
-    if (!rs[i].is_null() && reqs_.get(rs[i]).settled()) {
-      done.push_back(static_cast<int>(i));
-      release_if_complete(rs[i], nullptr);
-    }
-  }
+  if (rs.empty()) return done;  // MPI_Waitsome(0, ...): no entry overhead
+  complete("Waitsome", rs, Need::kSome, /*block=*/true, nullptr, nullptr,
+           &done);
   return done;
 }
 
 Request RankCtx::send_init(const void* buf, std::size_t count, Datatype dt,
                            int dst, int tag, Comm comm) {
-  MpiEntry entry(*this, false, "Send_init");
-  const CommInfo& ci = comms_.get(comm);
-  RequestImpl& r = reqs_.alloc();
-  r.persistent = true;
-  r.p_send = true;
-  r.p_buf = buf;
-  r.p_bytes = count * datatype_size(dt);
-  r.p_peer = (dst == kProcNull) ? kProcNull : ci.to_global(dst);
-  r.p_ctx = ci.context;
-  r.p_tag = tag;
-  r.p_comm = comm;
-  return Request{r.idx};
+  // The envelope keeps one buffer pointer; a send only ever reads through it.
+  return persistent_init("Send_init", /*send=*/true, const_cast<void*>(buf),
+                         count * datatype_size(dt), dst, tag, comm);
 }
 
 Request RankCtx::recv_init(void* buf, std::size_t count, Datatype dt, int src,
                            int tag, Comm comm) {
-  MpiEntry entry(*this, false, "Recv_init");
+  return persistent_init("Recv_init", /*send=*/false, buf,
+                         count * datatype_size(dt), src, tag, comm);
+}
+
+Request RankCtx::persistent_init(const char* call, bool send, void* buf,
+                                 std::size_t bytes, int peer, int tag,
+                                 Comm comm) {
+  MpiEntry entry(*this, call);
   const CommInfo& ci = comms_.get(comm);
   RequestImpl& r = reqs_.alloc();
   r.persistent = true;
-  r.p_send = false;
-  r.p_rbuf = buf;
-  r.p_bytes = count * datatype_size(dt);
-  r.p_peer = (src == kProcNull || src == kAnySource) ? src : ci.to_global(src);
+  r.p_send = send;
+  r.p_buf = buf;
+  r.p_bytes = bytes;
+  const bool wildcard = peer == kProcNull || (!send && peer == kAnySource);
+  r.p_peer = wildcard ? peer : ci.to_global(peer);
   r.p_ctx = ci.context;
   r.p_tag = tag;
   r.p_comm = comm;
   return Request{r.idx};
 }
 
-void RankCtx::start(Request r) {
-  const auto& p = profile();
-  MpiEntry entry(*this, false, "Start", &p.persist_start);
-  if (r.is_null()) {
-    san::mpi_persist_misuse(rank_, "Start", "null request");
-    throw std::logic_error("MPI_Start on the null request");
+void RankCtx::start(Request r) { start_all("Start", {&r, 1}); }
+
+void RankCtx::startall(std::span<Request> rs) {
+  if (rs.empty()) return;  // MPI_Startall(0, ...): no entry overhead
+  start_all("Startall", rs);
+}
+
+void RankCtx::start_all(const char* call, std::span<Request> rs) {
+  MpiEntry entry(*this, call, &profile().persist_start);
+  for (Request& r : rs) {
+    if (r.is_null()) {
+      san::mpi_persist_misuse(rank_, call, "null request");
+      throw std::logic_error(std::string("MPI_") + call +
+                             " on the null request");
+    }
+    if (!san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, call)) {
+      throw std::logic_error(std::string("MPI_") + call +
+                             " on a freed request handle");
+    }
+    start_internal(reqs_.get(r));
   }
-  if (!san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, "Start")) {
-    throw std::logic_error("MPI_Start on a freed request handle");
-  }
-  start_internal(reqs_.get(r));
   // Deliberately no progress_poll: Start is the thin re-arm path — that the
   // entry stays cheap is the point of persistent requests.
 }
 
-void RankCtx::startall(std::span<Request> rs) {
-  if (rs.empty()) return;  // MPI_Startall(0, ...): no entry overhead
-  const auto& p = profile();
-  MpiEntry entry(*this, false, "Startall", &p.persist_start);
-  for (Request& r : rs) {
-    if (r.is_null()) {
-      san::mpi_persist_misuse(rank_, "Startall", "null request");
-      throw std::logic_error("MPI_Startall on the null request");
-    }
-    if (!san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, "Startall")) {
-      throw std::logic_error("MPI_Startall on a freed request handle");
-    }
-    start_internal(reqs_.get(r));
-  }
-}
-
 void RankCtx::request_free(Request& r) {
-  MpiEntry entry(*this, false, "Request_free");
+  MpiEntry entry(*this, "Request_free");
   if (r.is_null()) return;
   if (!san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, "Request_free")) {
     r = kRequestNull;
@@ -633,7 +549,7 @@ void RankCtx::sendrecv(const void* sbuf, std::size_t scount, int dst, int stag,
 }
 
 bool RankCtx::iprobe(int src, int tag, Comm comm, Status* st) {
-  MpiEntry entry(*this, false, "Iprobe");
+  MpiEntry entry(*this, "Iprobe");
   progress_poll();
   const CommInfo& ci = comms_.get(comm);
   const int src_global = (src == kAnySource) ? kAnySource : ci.to_global(src);
@@ -648,7 +564,7 @@ bool RankCtx::iprobe(int src, int tag, Comm comm, Status* st) {
 }
 
 void RankCtx::probe(int src, int tag, Comm comm, Status* st) {
-  MpiEntry entry(*this, false, "Probe");
+  MpiEntry entry(*this, "Probe");
   const CommInfo& ci = comms_.get(comm);
   const int src_global = (src == kAnySource) ? kAnySource : ci.to_global(src);
   const UnexpectedMsg* found = nullptr;
@@ -664,7 +580,7 @@ void RankCtx::probe(int src, int tag, Comm comm, Status* st) {
 }
 
 void RankCtx::progress() {
-  MpiEntry entry(*this, false, "Progress");
+  MpiEntry entry(*this, "Progress");
   progress_poll();
 }
 
@@ -672,7 +588,7 @@ Comm RankCtx::comm_dup(Comm parent) {
   // Collective by MPI rules; synchronize like a barrier so no rank races
   // ahead and sends on the new context before everyone constructed it.
   barrier(parent);
-  MpiEntry entry(*this, false, "Comm_dup");
+  MpiEntry entry(*this, "Comm_dup");
   return comms_.dup(parent);
 }
 
@@ -684,12 +600,12 @@ Comm RankCtx::comm_split(Comm parent, int color, int key) {
   std::pair<int, int> mine{color, key};
   static_assert(sizeof(std::pair<int, int>) == 2 * sizeof(int));
   allgather(&mine, color_key.data(), 2, Datatype::kInt, parent);
-  MpiEntry entry(*this, false, "Comm_split");
+  MpiEntry entry(*this, "Comm_split");
   return comms_.split(parent, color_key);
 }
 
 void RankCtx::comm_free(Comm c) {
-  MpiEntry entry(*this, false, "Comm_free");
+  MpiEntry entry(*this, "Comm_free");
   comms_.free(c);
 }
 

@@ -88,9 +88,6 @@ class RankCtx {
   }
   /// Pre-assign a slot to `f` (idempotent).
   void register_thread(const sim::Fiber& f) { slot_for(f.id()); }
-  [[nodiscard]] int thread_slots() const {
-    return static_cast<int>(fiber_slots_.size());
-  }
 
   // ---------------- progress sharing ----------------
   /// Declare `f` a progress sharer: a fiber (an offload engine) that may
@@ -126,9 +123,11 @@ class RankCtx {
   // MPI_Send_init / MPI_Recv_init: capture the envelope once, replay it with
   // Start. A persistent request cycles inactive -> started -> complete ->
   // inactive; the table slot (and handle) survives until request_free. The
-  // completion calls treat an inactive persistent request as trivially
-  // complete, and they reset — never release — a completed one (public
-  // wait/test preserve the caller's handle; the array calls null their span
+  // single-handle and all forms (test/wait, testall/waitall) treat an
+  // inactive persistent request as trivially complete; the any/some forms
+  // (testany/waitany/waitsome) skip it like a null handle, as MPI-4 §3.7.5
+  // says. Completion resets — never releases — a persistent request (wait/
+  // test preserve the caller's handle; the array calls null their span
   // entries, so keep your own copy, as the proxies do).
   Request send_init(const void* buf, std::size_t count, Datatype dt, int dst,
                     int tag, Comm comm);
@@ -154,6 +153,7 @@ class RankCtx {
   int waitany(std::span<Request> rs, Status* st = nullptr);
   /// MPI_Testany: true if some active request completed (index via *index),
   /// also true with *index = -1 ("undefined") when no active requests exist.
+  /// Null and inactive persistent requests are not active.
   bool testany(std::span<Request> rs, int* index, Status* st = nullptr);
   /// MPI_Testall: true iff every active request has completed (all released).
   bool testall(std::span<Request> rs);
@@ -267,10 +267,20 @@ class RankCtx {
                       bool registered);
   void post_recv_into(RequestImpl& r, void* buf, std::size_t bytes,
                       int src_global, std::uint32_t ctx, int tag, Comm comm);
+  /// Send_init/Recv_init: capture one persistent envelope.
+  Request persistent_init(const char* call, bool send, void* buf,
+                          std::size_t bytes, int peer, int tag, Comm comm);
+  /// Start/Startall: one entry, then start each handle in order.
+  void start_all(const char* call, std::span<Request> rs);
   /// Start one persistent request (no entry overhead; caller is inside).
   void start_internal(RequestImpl& r);
-  bool test_internal(RequestImpl& r, Status* st);
-  void release_if_complete(Request& r, Status* st);
+
+  /// What a completion call waits for (see complete() in p2p.cpp).
+  enum class Need : std::uint8_t { kOne, kAll, kAny, kSome };
+  /// The completion kernel every test/wait call wraps.
+  bool complete(const char* call, std::span<Request> rs, Need need, bool block,
+                Status* st = nullptr, int* first = nullptr,
+                std::vector<int>* some = nullptr);
 
   /// Software progress pass: drain the inbox, advance rendezvous transfers
   /// and collective schedules. Charges CPU time on the calling fiber.
@@ -289,8 +299,6 @@ class RankCtx {
   /// progress→check→sleep with the thread-level-appropriate lock cycling.
   /// `done` is evaluated after each progress pass.
   void wait_until(class MpiEntry& entry, const std::function<bool()>& done);
-
-  [[nodiscard]] bool software_work_pending() const;
 
   /// True when the calling fiber is a registered progress sharer.
   [[nodiscard]] bool progress_sharer_current() const {

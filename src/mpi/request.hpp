@@ -60,20 +60,19 @@ struct RequestImpl {
   bool persistent = false;
   bool p_started = false;  ///< a generation is active (or complete, unwaited)
   bool p_send = false;
-  const void* p_buf = nullptr;  ///< send-side user buffer
-  void* p_rbuf = nullptr;       ///< recv-side user buffer
+  void* p_buf = nullptr;  ///< user buffer (a send only reads it)
   std::size_t p_bytes = 0;
   int p_peer = -1;  ///< global rank, kProcNull, or kAnySource (recv)
   std::uint32_t p_ctx = 0;
   int p_tag = 0;
   Comm p_comm{};
 
-  /// A request the completion calls may settle: complete, or a persistent
-  /// request with no generation in flight (MPI treats inactive persistent
-  /// requests as trivially complete with an empty status).
-  [[nodiscard]] bool settled() const {
-    return complete || (persistent && !p_started);
-  }
+  /// A persistent request with no generation started.
+  [[nodiscard]] bool inactive() const { return persistent && !p_started; }
+  /// A request the completion calls may settle: complete, or inactive (MPI
+  /// treats inactive persistent requests as trivially complete with an
+  /// empty status; the any/some calls skip them instead).
+  [[nodiscard]] bool settled() const { return complete || inactive(); }
 
   /// Clear one generation's transfer state, preserving the slot identity and
   /// the persistent envelope. Called by Start before re-posting.
@@ -98,35 +97,8 @@ struct RequestImpl {
     rndv_received = 0;
   }
 
-  void reset() {
-    kind = ReqKind::kNull;
-    active = complete = false;
-    status = Status{};
-    rbuf = nullptr;
-    rbytes = 0;
-    ctx = 0;
-    src_global = kAnySource;
-    tag = kAnyTag;
-    comm = Comm{};
-    matched_rndv = data_arrived = false;
-    coll_internal = false;
-    sbuf = nullptr;
-    sbytes = 0;
-    dst_global = -1;
-    cts_received = false;
-    peer_rreq = 0;
-    dma_sent = dma_delivered = 0;
-    rndv_received = 0;
-    coll.reset();
-    persistent = p_started = p_send = false;
-    p_buf = nullptr;
-    p_rbuf = nullptr;
-    p_bytes = 0;
-    p_peer = -1;
-    p_ctx = 0;
-    p_tag = 0;
-    p_comm = Comm{};
-  }
+  /// Back to a fresh slot: every field at its default.
+  void reset() { *this = RequestImpl{}; }
 };
 
 /// Per-rank request table. Handles are indices; 0 is reserved for the null

@@ -25,7 +25,7 @@ Win RankCtx::win_create(void* base, std::size_t bytes, Comm comm) {
   // everywhere yet. The id derivation matches across ranks because window
   // creations on a communicator are ordered.
   barrier(comm);
-  MpiEntry entry(*this, false, "Win_create");
+  MpiEntry entry(*this, "Win_create");
   CommInfo& ci = comms_.get(comm);
   WinInfo w;
   w.base = base;
@@ -44,7 +44,7 @@ void RankCtx::win_free(Win w) {
 
 void RankCtx::put(const void* origin, std::size_t bytes, int target_rank,
                   std::size_t target_offset, Win w) {
-  MpiEntry entry(*this, false, "Put");
+  MpiEntry entry(*this, "Put");
   WinInfo& wi = wins_.at(static_cast<std::size_t>(w.idx));
   if (wi.freed) throw std::invalid_argument("put on freed window");
   if (target_offset + bytes > wi.bytes) {
@@ -68,7 +68,7 @@ void RankCtx::put(const void* origin, std::size_t bytes, int target_rank,
 
 void RankCtx::get(void* origin, std::size_t bytes, int target_rank,
                   std::size_t target_offset, Win w) {
-  MpiEntry entry(*this, false, "Get");
+  MpiEntry entry(*this, "Get");
   WinInfo& wi = wins_.at(static_cast<std::size_t>(w.idx));
   if (wi.freed) throw std::invalid_argument("get on freed window");
   if (target_offset + bytes > wi.bytes) {
@@ -90,7 +90,7 @@ void RankCtx::get(void* origin, std::size_t bytes, int target_rank,
 }
 
 Request RankCtx::ifence(Win w) {
-  MpiEntry entry(*this, false, "Ifence");
+  MpiEntry entry(*this, "Ifence");
   WinInfo& wi = wins_.at(static_cast<std::size_t>(w.idx));
   CommInfo& ci = comms_.get(wi.comm);
   const int p = ci.size();

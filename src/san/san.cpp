@@ -8,6 +8,7 @@
 
 #include "san/vclock.hpp"
 #include "trace/tracer.hpp"
+#include "util/hash.hpp"
 #include "util/spec_parser.hpp"
 
 namespace san {
@@ -80,16 +81,6 @@ State& st() {
 std::uint64_t reg_key(int rank, int req) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rank)) << 32U) |
          static_cast<std::uint32_t>(req);
-}
-
-std::uint64_t fnv1a(const void* p, std::size_t n) {
-  const auto* b = static_cast<const std::byte*>(p);
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<std::uint64_t>(b[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 void raise(const char* kind, std::string msg) {
@@ -455,7 +446,7 @@ void post_send_slow(int rank, int req, const void* buf, std::size_t n) {
   r.hi = r.lo + n;
   r.write = false;
   r.has_sum = true;
-  r.sum = fnv1a(buf, n);
+  r.sum = util::fnv1a(buf, n);
   s.regs[reg_key(rank, req)] = r;
   ++s.stats.buffer_regs;
   ++s.stats.checksums;
@@ -490,7 +481,7 @@ void complete_slow(int rank, int req) {
   s.regs.erase(it);
   if (r.has_sum) {
     ++s.stats.checksums;
-    if (fnv1a(r.lo, static_cast<std::size_t>(r.hi - r.lo)) != r.sum) {
+    if (util::fnv1a(r.lo, static_cast<std::size_t>(r.hi - r.lo)) != r.sum) {
       raise("send-buffer-modified",
             "rank " + std::to_string(rank) + " modified the buffer of " +
                 reg_str(r) +

@@ -7,19 +7,17 @@
 
 #include <cstdint>
 
+#include "util/hash.hpp"
+
 namespace sim {
 
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull) {
     // splitmix64 seeding, as recommended by the xoshiro authors.
-    std::uint64_t x = seed;
     for (auto& si : s_) {
-      x += 0x9e3779b97f4a7c15ull;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-      si = z ^ (z >> 31);
+      si = util::splitmix64(seed);
+      seed += util::kSplitmixGamma;
     }
   }
 

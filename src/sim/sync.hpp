@@ -76,7 +76,6 @@ class Mutex {
   }
 
   [[nodiscard]] bool locked() const { return holder_ != nullptr; }
-  [[nodiscard]] std::size_t waiter_count() const { return waiters_.size(); }
 
  private:
   Time acquire_cost_;

@@ -21,12 +21,6 @@ inline const char* get(const char* name) {
   return std::getenv(name);
 }
 
-/// True when the variable is set to a non-empty value.
-inline bool set_nonempty(const char* name) {
-  const char* s = get(name);
-  return s != nullptr && *s != '\0';
-}
-
 /// The variable's value, or `fallback` when unset or empty.
 inline std::string get_or(const char* name, const char* fallback = "") {
   const char* s = get(name);

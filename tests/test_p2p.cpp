@@ -227,6 +227,51 @@ TEST(P2P, TestanyFindsCompletions) {
   });
 }
 
+// MPI-4 §3.7.5: the any/some completion calls skip null and inactive
+// persistent handles alike — a list holding only those is "undefined" (or
+// an empty set) and every handle is left as it was.
+TEST(P2P, AnyAndSomeSkipInactivePersistent) {
+  Cluster c(cfg(2));
+  c.run([&](RankCtx& rc) {
+    int v = 0;
+    if (rc.rank() == 0) {
+      const Request pers =
+          rc.recv_init(&v, 1, Datatype::kInt, 1, 5, kCommWorld);
+      std::vector<Request> rs{pers, kRequestNull};
+      int idx = 7;
+      EXPECT_TRUE(rc.testany(rs, &idx));
+      EXPECT_EQ(idx, -1);
+      EXPECT_EQ(rc.waitany(rs), -1);
+      EXPECT_TRUE(rc.waitsome(rs).empty());
+      EXPECT_EQ(rs[0].idx, pers.idx);
+      EXPECT_TRUE(rs[1].is_null());
+      // With an active request beside it, the inactive one is passed over:
+      // waitany blocks until the receive lands.
+      int got = 0;
+      rs[1] = rc.irecv(&got, 1, Datatype::kInt, 1, 6, kCommWorld);
+      EXPECT_EQ(rc.waitany(rs), 1);
+      EXPECT_EQ(got, 66);
+      EXPECT_EQ(rs[0].idx, pers.idx);
+      // The single-handle form still completes an inactive request at once.
+      Request h = pers;
+      EXPECT_TRUE(rc.test(h));
+      EXPECT_EQ(h.idx, pers.idx);
+      rc.request_free(h);
+      // A null handle completes at once with an empty status, wait and test
+      // alike.
+      Status st{0, 9, 4};
+      rc.wait(h, &st);
+      EXPECT_EQ(st.source, kAnySource);
+      EXPECT_EQ(st.tag, kAnyTag);
+      EXPECT_EQ(st.bytes, 0u);
+    } else {
+      compute(Time::from_us(20));
+      v = 66;
+      rc.send(&v, 1, Datatype::kInt, 0, 6, kCommWorld);
+    }
+  });
+}
+
 TEST(P2P, IprobeSeesUnexpectedWithoutConsuming) {
   Cluster c(cfg(2));
   c.run([&](RankCtx& rc) {

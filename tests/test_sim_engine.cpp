@@ -7,7 +7,6 @@
 
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
-#include "sim/stats.hpp"
 #include "sim/sync.hpp"
 
 using namespace sim;
@@ -238,20 +237,15 @@ TEST(Rng, DeterministicAndRoughlyUniform) {
   EXPECT_EQ(a.next_u64(), b.next_u64());
   EXPECT_NE(a.next_u64(), c.next_u64());
   Rng r(123);
-  Stats s;
-  for (int i = 0; i < 10000; ++i) s.add(r.next_double());
-  EXPECT_NEAR(s.mean(), 0.5, 0.02);
-  EXPECT_GE(s.min(), 0.0);
-  EXPECT_LT(s.max(), 1.0);
-}
-
-TEST(Stats, BasicMoments) {
-  Stats s;
-  for (double v : {1.0, 2.0, 3.0, 4.0, 5.0}) s.add(v);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.median(), 3.0);
-  EXPECT_NEAR(s.stddev(), 1.5811, 1e-3);
-  EXPECT_DOUBLE_EQ(s.percentile(1.0), 5.0);
+  constexpr int kN = 10000;
+  double sum = 0, lo = 1, hi = 0;
+  for (int i = 0; i < kN; ++i) {
+    const double v = r.next_double();
+    sum += v;
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  EXPECT_NEAR(sum / kN, 0.5, 0.02);
+  EXPECT_GE(lo, 0.0);
+  EXPECT_LT(hi, 1.0);
 }
