@@ -2,13 +2,20 @@
 // REAL host time (not simulated): the lock-free MPSC command ring and the
 // request pool. These validate that the structures the paper's ~140 ns
 // command-post figure depends on are in fact O(100ns) operations.
+//
+// The last two rows time the simulator itself: one sim::Context switch round
+// trip, and the events per second of the engine when every event is a fiber
+// yield. Host speed of the simulator is about one round trip per event.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <thread>
 
 #include "core/command.hpp"
 #include "core/mpsc_ring.hpp"
 #include "core/request_pool.hpp"
+#include "sim/context.hpp"
+#include "sim/engine.hpp"
 
 namespace {
 
@@ -78,6 +85,48 @@ void BM_RequestPoolCompleteCheck(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RequestPoolCompleteCheck);
+
+struct PingPong {
+  sim::Context host;
+  sim::Context peer;
+  bool stop = false;
+};
+
+void peer_loop(void* arg) {
+  auto* pp = static_cast<PingPong*>(arg);
+  while (!pp->stop) sim::Context::swap(pp->peer, pp->host);
+  sim::Context::finish(pp->peer, pp->host);
+}
+
+/// One iteration = host -> peer -> host, two stack switches.
+void BM_ContextSwapRoundTrip(benchmark::State& state) {
+  constexpr std::size_t kStack = 64 * 1024;
+  PingPong pp;
+  std::unique_ptr<char[]> stack(new char[kStack]);
+  pp.peer.start(&peer_loop, &pp, stack.get(), kStack);
+  for (auto _ : state) sim::Context::swap(pp.host, pp.peer);
+  pp.stop = true;
+  sim::Context::swap(pp.host, pp.peer);  // let the peer finish
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ContextSwapRoundTrip);
+
+/// One fiber yields range(0) times per engine run: every event is a switch
+/// into the fiber and back.
+void BM_EngineYieldEvents(benchmark::State& state) {
+  const std::int64_t yields = state.range(0);
+  double events = 0;
+  for (auto _ : state) {
+    sim::Engine engine;
+    engine.spawn("yielder", [yields] {
+      for (std::int64_t i = 0; i < yields; ++i) sim::yield();
+    });
+    engine.run();
+    events += static_cast<double>(engine.stats().events_fired);
+  }
+  state.counters["events"] = benchmark::Counter(events, benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_EngineYieldEvents)->Arg(10000);
 
 }  // namespace
 

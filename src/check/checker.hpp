@@ -26,8 +26,6 @@
 // consume is treated as acquire.
 #pragma once
 
-#include <ucontext.h>
-
 #include <array>
 #include <atomic>  // std::memory_order
 #include <cstdint>
@@ -39,6 +37,7 @@
 #include <vector>
 
 #include "check/clock.hpp"
+#include "sim/context.hpp"
 
 namespace chk {
 
@@ -196,12 +195,15 @@ struct TraceEvent {
 struct ModelThread {
   int tid = 0;
   std::function<void()> body;
-  ucontext_t ctx{};
+  sim::Context ctx;
   std::unique_ptr<char[]> stack;
   bool done = false;
   bool yielded = false;
   VectorClock clock;
   Checker* ck = nullptr;
+
+  /// Context entry: runs the body, then leaves for the driver for good.
+  static void run(void* self);
 };
 
 }  // namespace detail
@@ -265,8 +267,6 @@ class Checker {
              std::memory_order mo);
   std::string format_trace() const;
 
-  static void trampoline(unsigned int hi, unsigned int lo);
-
   Options opt_;
   // Per-run state.
   std::vector<std::unique_ptr<char[]>> stack_pool_;  ///< recycled fiber stacks
@@ -281,7 +281,7 @@ class Checker {
   std::vector<std::unique_ptr<detail::ModelThread>> threads_;  // [0] = main
   std::vector<detail::TraceEvent> events_;
   VectorClock sc_clock_;
-  ucontext_t main_ctx_{};
+  sim::Context main_ctx_;
   int current_tid_ = 0;
   int last_tid_ = -1;
   bool last_voluntary_ = false;

@@ -212,8 +212,6 @@ Options Options::parse(const std::string& spec) {
 
 // --------------------------------------------------------------- session ----
 
-#ifndef MPIOFFLOAD_NO_SAN
-
 namespace detail {
 bool g_on = false;
 bool g_race = false;
@@ -540,32 +538,5 @@ void teardown_slow(int rank, std::size_t leaked) {
 }
 
 }  // namespace detail
-
-#else  // MPIOFFLOAD_NO_SAN
-
-bool begin_session(const Options&) { return false; }
-bool begin_session(const std::string& spec) {
-  (void)Options::parse(spec);  // still validate, so bad specs don't pass CI
-  return false;
-}
-void end_session() {}
-
-const std::vector<Report>& reports() {
-  static const std::vector<Report> kNone;
-  return kNone;
-}
-std::size_t count(const char*) { return 0; }
-const Stats& stats() {
-  static const Stats kNone;
-  return kNone;
-}
-
-std::string engine_block_message(const char* what) {
-  return std::string("blocking wait in offload-engine context (") + what +
-         "): continuations must not block the offload engine "
-         "(attach another continuation instead)";
-}
-
-#endif  // MPIOFFLOAD_NO_SAN
 
 }  // namespace san

@@ -1,0 +1,51 @@
+// The one stack-switching primitive: the simulator's fibers (sim::Engine)
+// and the model checker's threads (chk::Checker) both run on it.
+//
+// A Context is either started, running `entry(arg)` on a stack its caller
+// owns from the first swap into it, or the host thread's own context, which
+// is filled in by the first swap away from it. Implementation: POSIX
+// ucontext and one trampoline, so a faster hand-written switch replaces
+// context.cpp alone. AddressSanitizer builds (__SANITIZE_ADDRESS__) announce
+// every switch to ASan, so exceptions thrown on a fiber stack unwind cleanly.
+#pragma once
+
+#include <ucontext.h>
+
+#include <cstddef>
+
+namespace sim {
+
+class Context {
+ public:
+  using Entry = void (*)(void* arg);
+
+  Context() = default;
+  Context(const Context&) = delete;  // a started context is found by address
+  Context& operator=(const Context&) = delete;
+
+  /// Make this context run `entry(arg)` on [stack, stack + bytes) once it is
+  /// swapped into. `entry` must leave through finish(), never return.
+  void start(Entry entry, void* arg, char* stack, std::size_t bytes);
+  [[nodiscard]] bool started() const { return entry_ != nullptr; }
+
+  /// Save the running context into `self` and resume `to`. Returns when
+  /// another context swaps back into `self`.
+  static void swap(Context& self, Context& to);
+  /// Leave `self` for good and resume `to`; `self` is never resumed.
+  [[noreturn]] static void finish(Context& self, Context& to);
+
+ private:
+  static void trampoline(unsigned int hi, unsigned int lo);
+  static void jump(Context& self, void** fake, Context& to);
+  void arrived();
+
+  ucontext_t uc_{};
+  Entry entry_ = nullptr;
+  void* arg_ = nullptr;
+  // For ASan: the stack this context runs on and its fake stack while out.
+  const void* stack_ = nullptr;
+  std::size_t bytes_ = 0;
+  void* fake_stack_ = nullptr;
+};
+
+}  // namespace sim

@@ -43,42 +43,16 @@ Fiber::Fiber(Engine* engine, std::uint64_t id, std::string name, Body body,
 
 Fiber::~Fiber() = default;
 
-void Fiber::trampoline(unsigned int hi, unsigned int lo) {
-  auto ptr = (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo);
-  reinterpret_cast<Fiber*>(ptr)->run_body();
-}
-
-void Fiber::run_body() {
+void Fiber::run(void* self) {
+  auto* f = static_cast<Fiber*>(self);
   try {
-    body_();
+    f->body_();
   } catch (...) {
-    engine_->capture_exception(std::current_exception());
+    f->engine_->capture_exception(std::current_exception());
   }
-  state_ = FiberState::kDone;
-  // Return control to the scheduler permanently.
-  swapcontext(&ctx_, &engine_->scheduler_ctx_);
-  // Unreachable: a done fiber is never resumed.
-  assert(false && "resumed a finished fiber");
+  f->state_ = FiberState::kDone;
+  Context::finish(f->ctx_, f->engine_->scheduler_ctx_);
 }
-
-void Fiber::switch_in(ucontext_t* from) {
-  if (state_ == FiberState::kCreated || state_ == FiberState::kRunnable) {
-    if (ctx_.uc_stack.ss_sp == nullptr) {
-      getcontext(&ctx_);
-      ctx_.uc_stack.ss_sp = stack_.get();
-      ctx_.uc_stack.ss_size = stack_bytes_;
-      ctx_.uc_link = nullptr;
-      auto ptr = reinterpret_cast<std::uintptr_t>(this);
-      makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
-                  static_cast<unsigned int>(ptr >> 32),
-                  static_cast<unsigned int>(ptr & 0xffffffffu));
-    }
-  }
-  state_ = FiberState::kRunning;
-  swapcontext(from, &ctx_);
-}
-
-void Fiber::switch_out(ucontext_t* to) { swapcontext(&ctx_, to); }
 
 // --------------------------------------------------------------- Engine ----
 
@@ -130,7 +104,7 @@ void Engine::advance(Time dt) {
                                        f->id() + 1, "cpu", "sim");
   }
   schedule_fiber(*f, now_ + dt);
-  f->switch_out(&scheduler_ctx_);
+  Context::swap(f->ctx_, scheduler_ctx_);
 }
 
 void Engine::yield() { advance(Time::zero()); }
@@ -139,7 +113,7 @@ void Engine::block() {
   Fiber* f = current_fiber_;
   assert(f != nullptr && "block() called outside a fiber");
   f->state_ = FiberState::kBlocked;
-  f->switch_out(&scheduler_ctx_);
+  Context::swap(f->ctx_, scheduler_ctx_);
 }
 
 void Engine::unblock(Fiber& f, Time delay) {
@@ -152,20 +126,24 @@ void Engine::dispatch(Event& ev) {
   now_ = ev.when;
   ++stats_.events_fired;
   if (ev.fiber != nullptr) {
+    Fiber& f = *ev.fiber;
     // A fiber may have been re-scheduled and then blocked again before this
     // event fires; only resume if it is still runnable for this event.
-    if (ev.fiber->state_ != FiberState::kRunnable ||
-        ev.fiber->sched_gen_ != ev.fiber_gen) {
+    if (f.state_ != FiberState::kRunnable || f.sched_gen_ != ev.fiber_gen) {
       return;
     }
-    current_fiber_ = ev.fiber;
+    current_fiber_ = &f;
     ++stats_.context_switches;
     if (trace::Tracer::on()) {
-      trace::Tracer::instance().instant(now_.ns(), ev.fiber->trace_pid(),
-                                        ev.fiber->id() + 1, "ctx", "sim");
+      trace::Tracer::instance().instant(now_.ns(), f.trace_pid(), f.id() + 1,
+                                        "ctx", "sim");
     }
-    san::on_switch(ev.fiber->id() + 1, ev.fiber->name().c_str(), now_.ns());
-    ev.fiber->switch_in(&scheduler_ctx_);
+    san::on_switch(f.id() + 1, f.name().c_str(), now_.ns());
+    if (!f.ctx_.started()) {
+      f.ctx_.start(&Fiber::run, &f, f.stack_.get(), f.stack_bytes_);
+    }
+    f.state_ = FiberState::kRunning;
+    Context::swap(scheduler_ctx_, f.ctx_);
     current_fiber_ = nullptr;
   } else {
     san::event_fire(ev.seq, now_.ns());

@@ -106,7 +106,7 @@ class Engine {
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
   Fiber* current_fiber_ = nullptr;
-  ucontext_t scheduler_ctx_{};
+  Context scheduler_ctx_;
   bool running_ = false;
   std::exception_ptr first_error_;
   EngineStats stats_;

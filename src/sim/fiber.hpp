@@ -4,20 +4,17 @@
 // sim::Engine on a single OS thread. Fibers suspend only at explicit points
 // (Engine::advance / block / yield), which makes simulated executions fully
 // deterministic: interleaving is decided by the virtual-time event queue, not
-// by the host scheduler.
-//
-// Implementation uses POSIX ucontext. It is marked obsolescent by POSIX but
-// remains the portable no-dependency way to get stackful coroutines on Linux,
-// and is what several production fiber runtimes are built on.
+// by the host scheduler. Stack switching is sim::Context (sim/context.hpp),
+// the primitive the model checker's threads run on too.
 #pragma once
-
-#include <ucontext.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+
+#include "sim/context.hpp"
 
 namespace sim {
 
@@ -64,14 +61,8 @@ class Fiber {
  private:
   friend class Engine;
 
-  /// Switch from the scheduler into this fiber. Returns when the fiber
-  /// suspends or finishes.
-  void switch_in(ucontext_t* from);
-  /// Switch from this fiber back to the scheduler context.
-  void switch_out(ucontext_t* to);
-
-  static void trampoline(unsigned int hi, unsigned int lo);
-  void run_body();
+  /// Context entry: runs the body, then leaves for the scheduler for good.
+  static void run(void* self);
 
   Engine* engine_;
   std::uint64_t id_;
@@ -84,7 +75,7 @@ class Fiber {
 
   std::unique_ptr<char[]> stack_;
   std::size_t stack_bytes_;
-  ucontext_t ctx_{};
+  Context ctx_;  ///< started at the first dispatch
 };
 
 }  // namespace sim

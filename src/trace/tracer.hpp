@@ -100,6 +100,7 @@ class Tracer {
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   /// Cap on retained events (drops, deterministically, beyond it).
   void set_limit(std::size_t n) { limit_ = n; }
+  [[nodiscard]] std::size_t limit() const { return limit_; }
 
   /// Serialize everything recorded so far as Chrome trace JSON.
   void write_json(std::ostream& os) const;

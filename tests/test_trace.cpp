@@ -23,17 +23,23 @@ using trace::Tracer;
 namespace {
 
 /// Every test runs against the process-wide tracer: start from a clean,
-/// disabled state and leave it that way.
+/// disabled state and leave it that way, event limit included (clear()
+/// keeps the limit).
 class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     Tracer::set_enabled(false);
     Tracer::instance().clear();
+    limit_ = Tracer::instance().limit();
   }
   void TearDown() override {
     Tracer::set_enabled(false);
     Tracer::instance().clear();
+    Tracer::instance().set_limit(limit_);
   }
+
+ private:
+  std::size_t limit_ = 0;
 };
 
 // --------------------------------------------------------- mini JSON parser
