@@ -2,12 +2,66 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 
 #ifdef __SANITIZE_ADDRESS__
 #include <sanitizer/common_interface_defs.h>
 #endif
 
+#ifdef SIM_CONTEXT_ASM
+// context_x86_64.S
+extern "C" void sim_context_switch(void** save_sp, void* to_sp);
+extern "C" void sim_context_entry();
+#endif
+
 namespace sim {
+
+void Context::enter(Context* self) {
+  self->arrived();
+  self->entry_(self->arg_);
+  std::abort();  // entry returned instead of leaving through finish()
+}
+
+#ifdef SIM_CONTEXT_ASM
+
+// The first frame, laid out as sim_context_switch leaves a context: the FP
+// control words, r15, r14, r13, r12, rbx, rbp, then the return address. The
+// switch "returns" into sim_context_entry with rsp at the 16-byte aligned
+// stack top, rbx = this and r12 = &enter.
+void Context::start(Entry entry, void* arg, char* stack, std::size_t bytes) {
+  entry_ = entry;
+  arg_ = arg;
+  const auto top =
+      reinterpret_cast<std::uintptr_t>(stack + bytes) & ~std::uintptr_t{15};
+  auto* frame = reinterpret_cast<void**>(top) - 8;
+  // The new context starts with the FP control of the thread that starts it.
+  std::uint32_t fp_control[2] = {0, 0};
+  asm("stmxcsr %0" : "=m"(fp_control[0]));
+  asm("fnstcw %0" : "=m"(fp_control[1]));
+  static_assert(sizeof fp_control == sizeof(void*));
+  std::memcpy(&frame[0], fp_control, sizeof fp_control);
+  frame[1] = nullptr;  // r15
+  frame[2] = nullptr;  // r14
+  frame[3] = nullptr;  // r13
+  frame[4] = reinterpret_cast<void*>(&Context::enter);  // r12
+  frame[5] = this;     // rbx
+  frame[6] = nullptr;  // rbp
+  frame[7] = reinterpret_cast<void*>(&sim_context_entry);
+  sp_ = frame;
+}
+
+void Context::swap(Context& self, Context& to) {
+  sim_context_switch(&self.sp_, to.sp_);
+}
+
+void Context::finish(Context& self, Context& to) {
+  sim_context_switch(&self.sp_, to.sp_);
+  std::abort();  // a finished context was resumed
+}
+
+void Context::arrived() {}
+
+#else  // POSIX ucontext
 
 #ifdef __SANITIZE_ADDRESS__
 namespace {
@@ -32,11 +86,8 @@ void Context::start(Entry entry, void* arg, char* stack, std::size_t bytes) {
 }
 
 void Context::trampoline(unsigned int hi, unsigned int lo) {
-  auto* self = reinterpret_cast<Context*>((static_cast<std::uintptr_t>(hi) << 32) |
-                                          static_cast<std::uintptr_t>(lo));
-  self->arrived();
-  self->entry_(self->arg_);
-  std::abort();  // entry returned instead of leaving through finish()
+  enter(reinterpret_cast<Context*>((static_cast<std::uintptr_t>(hi) << 32) |
+                                   static_cast<std::uintptr_t>(lo)));
 }
 
 void Context::swap(Context& self, Context& to) {
@@ -67,5 +118,7 @@ void Context::arrived() {
   __sanitizer_finish_switch_fiber(fake_stack_, &t_from->stack_, &t_from->bytes_);
 #endif
 }
+
+#endif  // SIM_CONTEXT_ASM
 
 }  // namespace sim

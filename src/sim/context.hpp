@@ -3,15 +3,25 @@
 //
 // A Context is either started, running `entry(arg)` on a stack its caller
 // owns from the first swap into it, or the host thread's own context, which
-// is filled in by the first swap away from it. Implementation: POSIX
-// ucontext and one trampoline, so a faster hand-written switch replaces
-// context.cpp alone. AddressSanitizer builds (__SANITIZE_ADDRESS__) announce
-// every switch to ASan, so exceptions thrown on a fiber stack unwind cleanly.
+// is filled in by the first swap away from it.
+//
+// Two implementations, chosen at compile time. On x86-64 a hand-written
+// switch (context_x86_64.S) saves the callee-saved registers, MXCSR and the
+// x87 control word on the leaving stack and keeps only the stack pointer
+// here: no system call per switch. Sanitizer builds (__SANITIZE_ADDRESS__,
+// __SANITIZE_THREAD__) and other architectures use POSIX ucontext; the ASan
+// build announces every switch to ASan, so exceptions thrown on a fiber
+// stack unwind cleanly.
 #pragma once
 
-#include <ucontext.h>
-
 #include <cstddef>
+
+#if defined(__x86_64__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+#define SIM_CONTEXT_ASM 1
+#else
+#include <ucontext.h>
+#endif
 
 namespace sim {
 
@@ -35,17 +45,24 @@ class Context {
   [[noreturn]] static void finish(Context& self, Context& to);
 
  private:
-  static void trampoline(unsigned int hi, unsigned int lo);
-  static void jump(Context& self, void** fake, Context& to);
+  /// First code on a started context's stack: arrived(), then entry(arg).
+  [[noreturn]] static void enter(Context* self);
   void arrived();
 
-  ucontext_t uc_{};
   Entry entry_ = nullptr;
   void* arg_ = nullptr;
+#ifdef SIM_CONTEXT_ASM
+  void* sp_ = nullptr;  // saved stack pointer while this context is out
+#else
+  static void trampoline(unsigned int hi, unsigned int lo);
+  static void jump(Context& self, void** fake, Context& to);
+
+  ucontext_t uc_{};
   // For ASan: the stack this context runs on and its fake stack while out.
   const void* stack_ = nullptr;
   std::size_t bytes_ = 0;
   void* fake_stack_ = nullptr;
+#endif
 };
 
 }  // namespace sim

@@ -5,7 +5,9 @@
 // (Engine::advance / block / yield), which makes simulated executions fully
 // deterministic: interleaving is decided by the virtual-time event queue, not
 // by the host scheduler. Stack switching is sim::Context (sim/context.hpp),
-// the primitive the model checker's threads run on too.
+// the primitive the model checker's threads run on too: a hand-written
+// x86-64 switch with no system call, or ucontext in sanitizer builds. A
+// fiber's context starts at its first dispatch, on its own heap stack.
 #pragma once
 
 #include <cstddef>
